@@ -296,7 +296,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.finish_time = wall_now() - run_start;
     stats_.tasks_created = serializer_.tasks_created();
-    stats_.throttle_suspensions = throttle_.suspensions();
+    throttle_.fold_into(stats_);
     stats_.heartbeats_sent = heartbeats_;
     // Real wire accounting replaces the protocol's modeled counts: frames
     // and bytes that actually crossed the sockets, both directions.

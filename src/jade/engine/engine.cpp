@@ -1,7 +1,48 @@
 // Engine is an interface; shared helpers live here.
 #include "jade/engine/engine.hpp"
 
+#include "jade/core/tenant.hpp"
+#include "jade/support/error.hpp"
+
 namespace jade {
+
+void Engine::run_body(TaskNode* task) {
+  TaskContext ctx(this, task);
+  TenantCtl* ctl = task->tenant();
+  if (ctl == nullptr) {
+    task->body(ctx);
+    return;
+  }
+  if (ctl->cancelled.load(std::memory_order_relaxed)) {
+    // Forced teardown, dispatch edge: the body never runs.
+    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  try {
+    task->body(ctx);
+  } catch (const TenantUnwind&) {
+    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
+  } catch (const EngineUnwind&) {
+    throw;
+  } catch (...) {
+    // Per-tenant failure containment: the failure stays the tenant's; the
+    // engine keeps serving everyone else.
+    ctl->record_failure(std::current_exception());
+    ctl->cancelled.store(true, std::memory_order_relaxed);
+  }
+}
+
+bool Engine::run_speculative_body(TaskNode* task) {
+  TaskContext ctx(this, task);
+  try {
+    task->body(ctx);
+    return true;
+  } catch (const EngineUnwind&) {
+    throw;
+  } catch (...) {
+    return false;
+  }
+}
 
 void Engine::enable_tracing(const ObsConfig& config) {
   if (!config.trace) {

@@ -1,13 +1,16 @@
 // The engine interface: everything the Jade front end (Runtime/TaskContext)
 // needs from an execution platform.
 //
-// Three engines implement it:
-//   SerialEngine — executes every task inline at its creation point; this IS
-//                  the serial semantics every other execution must match.
-//   ThreadEngine — real shared-memory parallelism on a worker pool.
-//   SimEngine    — deterministic virtual-time execution on a simulated
-//                  (possibly heterogeneous, message-passing) cluster; the
-//                  platform for all of the paper's evaluation experiments.
+// Four engines implement it:
+//   SerialEngine  — executes every task inline at its creation point; this
+//                   IS the serial semantics every other execution must match.
+//   ThreadEngine  — real shared-memory parallelism on a worker pool.
+//   SimEngine     — deterministic virtual-time execution on a simulated
+//                   (possibly heterogeneous, message-passing) cluster; the
+//                   platform for all of the paper's evaluation experiments.
+//   ClusterEngine — real multi-process execution: forked worker processes on
+//                   one host, driven over Unix-domain sockets
+//                   (src/jade/cluster).
 #pragma once
 
 #include <cstddef>
@@ -46,13 +49,6 @@ struct ObsConfig {
 // RuntimeStats moved to jade/core/stats.hpp so the runtime services below
 // the engines (store/coherence, ft/recovery_coordinator) can report into it
 // without depending on this header.
-
-/// Thrown inside a speculatively executing body (SchedPolicy::spec) when it
-/// reaches an operation the snapshot-isolated path cannot perform — spawn,
-/// with-cont, a commuting acquisition, an undeclared access.  The engine
-/// catches it, aborts the speculation, and the task later runs normally,
-/// where a genuine error reproduces deterministically.
-struct SpeculationUnwind {};
 
 class Engine {
  public:
@@ -147,6 +143,21 @@ class Engine {
   /// dotted names (docs/OBSERVABILITY.md), giving benches and tests one
   /// uniform registry view.  Engines call this at the end of run().
   void publish_runtime_stats();
+
+  /// Runs `task`'s body on behalf of its tenant.  A cancelled tenant's body
+  /// is skipped and counted; a TenantUnwind (teardown caught the body at a
+  /// spawn or wait edge) is counted; any other failure is recorded against
+  /// the tenant, which is cancelled.  The caller then completes the task
+  /// normally, so its successors unblock in serial order.  Engine-internal
+  /// unwinds (EngineUnwind) and every exception of a host task (one without
+  /// a tenant) propagate to the caller.
+  void run_body(TaskNode* task);
+
+  /// Runs the body of a speculative attempt; false when it threw.  Such a
+  /// failure — SpeculationUnwind, or an error that may be an artifact of
+  /// snapshot staleness — only aborts the attempt: a genuine error
+  /// reproduces on the normal re-run.  EngineUnwind propagates.
+  bool run_speculative_body(TaskNode* task);
 
   RuntimeStats stats_;
   obs::Tracer tracer_;

@@ -1,6 +1,5 @@
 #include "jade/engine/serial_engine.hpp"
 
-#include "jade/core/tenant.hpp"
 #include "jade/support/error.hpp"
 
 namespace jade {
@@ -86,24 +85,7 @@ void SerialEngine::execute(TaskNode* task) {
   if (tracer_.enabled())
     tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(), 0,
                        task->name());
-  TaskContext ctx(this, task);
-  TenantCtl* ctl = task->tenant();
-  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed)) {
-    // Forced teardown: skip the body, complete normally.
-    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else if (ctl != nullptr) {
-    try {
-      task->body(ctx);
-    } catch (const TenantUnwind&) {
-      ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      // Per-tenant failure containment: record, cancel, keep serving.
-      ctl->record_failure(std::current_exception());
-      ctl->cancelled.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    task->body(ctx);
-  }
+  run_body(task);
   task->body = nullptr;  // release captured state promptly
   serializer_.complete_task(task);
   tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), 0,

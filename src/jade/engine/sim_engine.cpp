@@ -62,9 +62,8 @@ void SimEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
 void SimEngine::on_task_ready(TaskNode* task) {
   if (task->speculating()) {
     // The serializer just enabled a task that is running speculatively:
-    // this is its commit point, not a dispatch.  Queued rather than decided
-    // inline — listener callbacks must not re-enter the serializer.
-    spec_decide_.push_back(task);
+    // this is its commit point, not a dispatch.
+    spec_.note_enabled(task);
     return;
   }
   ready_.push_back(task);
@@ -77,11 +76,7 @@ void SimEngine::on_task_unblocked(TaskNode* task) {
 void SimEngine::post_serializer() {
   // Commit checks first, in serial enable order: a commit retires the
   // task's records, which can enable (and commit) further speculations.
-  while (!spec_decide_.empty()) {
-    TaskNode* task = spec_decide_.front();
-    spec_decide_.pop_front();
-    decide_speculation(task);
-  }
+  while (TaskNode* task = spec_.next_enabled()) decide_speculation(task);
   try_dispatch();
   while (!to_unblock_.empty()) {
     std::vector<TaskNode*> batch;
@@ -99,6 +94,16 @@ void SimEngine::deliver_unblock(TaskNode* task) {
 
 // --- dispatch --------------------------------------------------------------
 
+int SimEngine::count_free_contexts(std::vector<int>& free) const {
+  free.resize(machines_.size());
+  int total = 0;
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    free[m] = machines_[m].free_contexts;
+    total += free[m];
+  }
+  return total;
+}
+
 void SimEngine::try_dispatch() {
   // Task-driven dispatch in FIFO order: each ready task picks its best
   // machine — most declared bytes already resident (locality), then the
@@ -106,16 +111,11 @@ void SimEngine::try_dispatch() {
   // shared-memory platforms data movement is free, so locality is moot and
   // only load balancing applies.
   const bool locality = sched_.locality && !cluster_.shared_memory();
+  std::vector<int> free;
   bool progress = true;
   while (progress && !ready_.empty()) {
     progress = false;
-    std::vector<int> free(machines_.size());
-    int total_free = 0;
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      free[m] = machines_[m].free_contexts;
-      total_free += free[m];
-    }
-    if (total_free == 0) break;  // nothing can be placed; skip the scan
+    if (count_free_contexts(free) == 0) break;  // nothing can be placed
     // Bounded scheduler window: only the oldest kWindow ready tasks are
     // considered, keeping dispatch cost independent of backlog size (the
     // backlog can be huge when a creator floods tasks, Figure 7(e)).
@@ -213,37 +213,12 @@ void SimEngine::task_process(TaskNode* task) {
     park_until_fetched(t, fetch_objects(t, std::move(items)));
   }
 
-  occupy_runtime(t, cluster_.task_dispatch_overhead);
+  occupy(t, machines_[t.machine].runtime_free_until,
+         cluster_.task_dispatch_overhead);
   t.body_start = sim_.now();
   tracer_.instant(obs::Subsystem::kEngine, "task.body_start", task->id(),
                   t.machine);
-
-  TaskContext ctx(this, task);
-  TenantCtl* ctl = task->tenant();
-  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed)) {
-    // Forced teardown: skip the body, complete normally so the serializer
-    // unwinds and successors of this task unblock.
-    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else if (ctl != nullptr) {
-    try {
-      task->body(ctx);
-    } catch (const TenantUnwind&) {
-      ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      // A sim process unwound by Simulation::abort (ft kill / teardown)
-      // must keep unwinding — only genuine body failures are contained.
-      if (sim_.tearing_down() ||
-          (sim_.current() != nullptr && sim_.current()->abandoned())) {
-        throw;
-      }
-      // Per-tenant failure containment: record, cancel, keep simulating.
-      ctl->record_failure(std::current_exception());
-      ctl->cancelled.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    task->body(ctx);
-  }
-
+  run_body(task);
   finish_task(task);
 }
 
@@ -251,11 +226,6 @@ void SimEngine::finish_task(TaskNode* task) {
   SimTask& t = st(task);
   JADE_TRACE("t=" << sim_.now() << " complete " << task->name()
                   << " on machine " << t.machine);
-  if (sched_.record_timeline) {
-    timeline_.push_back(TaskTimeline{task->id(), task->name(), t.machine,
-                                     t.created, t.dispatched, t.body_start,
-                                     sim_.now(), task->charged_work});
-  }
   exec_hist_->observe(sim_.now() - t.body_start);
   tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), t.machine,
                    task->charged_work);
@@ -282,25 +252,11 @@ void SimEngine::finish_task(TaskNode* task) {
   maybe_release_throttled();
 }
 
-void SimEngine::occupy_cpu(SimTask& t, SimTime seconds) {
+void SimEngine::occupy(SimTask& t, SimTime& lane_free_until,
+                       SimTime seconds) {
   if (seconds <= 0) return;
-  Machine& m = machines_[t.machine];
-  const SimTime start = std::max(sim_.now(), m.cpu_free_until);
-  const SimTime end = start + seconds;
-  m.cpu_free_until = end;
-  m.busy_seconds += seconds;
-  t.wait = Wait::kCpu;
-  sim_.resume_at(sim_.current(), end);
-  sim_.park();
-  t.wait = Wait::kNone;
-}
-
-void SimEngine::occupy_runtime(SimTask& t, SimTime seconds) {
-  if (seconds <= 0) return;
-  Machine& m = machines_[t.machine];
-  const SimTime start = std::max(sim_.now(), m.runtime_free_until);
-  const SimTime end = start + seconds;
-  m.runtime_free_until = end;
+  const SimTime end = std::max(sim_.now(), lane_free_until) + seconds;
+  lane_free_until = end;
   t.wait = Wait::kCpu;
   sim_.resume_at(sim_.current(), end);
   sim_.park();
@@ -309,23 +265,14 @@ void SimEngine::occupy_runtime(SimTask& t, SimTime seconds) {
 
 void SimEngine::release_context(SimTask& t) {
   Machine& m = machines_[t.machine];
-  if (ft_enabled() && !ft_->injector().machine_up(t.machine)) {
-    // Dead machine: a slot may still pass between resident tasks that ride
-    // out the crash, but it never re-enters the free pool (the dispatcher
-    // must not place new work here).
-    if (!m.context_waiters.empty()) {
-      TaskNode* next = m.context_waiters.front();
-      m.context_waiters.pop_front();
-      sim_.resume(st(next).process);
-    }
-    return;
-  }
   if (!m.context_waiters.empty()) {
     // The slot passes directly to a task re-entering after a block.
     TaskNode* next = m.context_waiters.front();
     m.context_waiters.pop_front();
     sim_.resume(st(next).process);
-  } else {
+  } else if (!ft_enabled() || ft_->injector().machine_up(t.machine)) {
+    // A dead machine's slot never re-enters the free pool: the dispatcher
+    // must not place new work there.
     ++m.free_contexts;
     try_dispatch();
   }
@@ -416,7 +363,8 @@ void SimEngine::spawn(TaskNode* parent,
   pt.attempt.restartable = false;
   // Executing the withonly construct costs the creator time (building the
   // specification, inserting queue records) on the runtime lane.
-  occupy_runtime(pt, cluster_.task_create_overhead);
+  occupy(pt, machines_[pt.machine].runtime_free_until,
+         cluster_.task_create_overhead);
 
   TaskNode* task =
       serializer_.create_task(parent, requests, std::move(body),
@@ -431,10 +379,7 @@ void SimEngine::spawn(TaskNode* parent,
     if (req.add_immediate | req.add_deferred) t.objects.push_back(req.obj);
   task->engine_data = &t;
   ++stats_.tasks_created;
-  if (spec_gov_.enabled() && task->state() == TaskState::kPending &&
-      task->tenant() == nullptr && task->placement < 0) {
-    spec_candidates_.push_back(task);
-  }
+  if (spec_.enabled()) spec_.offer(task);
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
                     pt.machine, 0, task->name());
@@ -520,7 +465,8 @@ void SimEngine::park_until_fetched(SimTask& t, SimTime ready_at) {
 
 std::byte* SimEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                     std::uint8_t mode) {
-  if (task->speculating()) return spec_acquire_bytes(task, obj, mode);
+  if (task->speculating())
+    return SpeculationExecutor::shadow(spec_.attempt(task), task, obj, mode);
   SimTask& t = st(task);
   const bool must_block = serializer_.acquire(task, obj, mode);
   if (must_block) {
@@ -574,7 +520,11 @@ void SimEngine::charge(TaskNode* task, double units) {
   SimTask& t = st(task);
   task->charged_work += units;
   stats_.total_charged_work += units;
-  occupy_cpu(t, units / machines_[t.machine].desc.ops_per_second);
+  Machine& m = machines_[t.machine];
+  const SimTime seconds = units / m.desc.ops_per_second;
+  if (seconds <= 0) return;
+  m.busy_seconds += seconds;
+  occupy(t, m.cpu_free_until, seconds);
 }
 
 MachineId SimEngine::machine_of(TaskNode* task) const {
@@ -672,12 +622,9 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
     ready_.clear();
     to_unblock_.clear();
     throttled_.clear();
-    spec_candidates_.clear();
-    spec_decide_.clear();
     commute_ = CommuteTokenTable{};
     throttle_.reset_counters();
-    spec_gov_.reset_counters();
-    timeline_.clear();
+    spec_.reset();
     stats_ = RuntimeStats{};
     stats_.machine_busy_seconds.assign(machines_.size(), 0.0);
     for (Machine& m : machines_) {
@@ -738,152 +685,44 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
   }
   for (std::size_t m = 0; m < machines_.size(); ++m)
     stats_.machine_busy_seconds[m] = machines_[m].busy_seconds;
-  stats_.throttle_suspensions = throttle_.suspensions();
-  stats_.throttle_giveups = throttle_.giveups();
-  stats_.spec_started = spec_gov_.started();
-  stats_.spec_committed = spec_gov_.committed();
-  stats_.spec_aborted = spec_gov_.aborted();
-  stats_.spec_denied = spec_gov_.denied();
-  stats_.spec_wasted_bytes = spec_gov_.wasted_bytes();
-  stats_.spec_wasted_work = spec_gov_.wasted_work();
+  throttle_.fold_into(stats_);
+  spec_.fold_into(stats_);
   publish_runtime_stats();
 }
 
-// --- speculative execution (SchedPolicy::spec) ------------------------------
+// --- speculative execution (sched/speculation.hpp does the protocol) --------
 
 void SimEngine::try_spec_dispatch() {
-  if (!spec_gov_.enabled()) return;
+  if (!spec_.enabled()) return;
   const bool locality = sched_.locality && !cluster_.shared_memory();
-  std::vector<ObjectId> contested;
-  while (spec_gov_.can_start() && !spec_candidates_.empty()) {
-    std::vector<int> free(machines_.size());
-    int total_free = 0;
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      free[m] = machines_[m].free_contexts;
-      total_free += free[m];
-    }
-    if (total_free == 0) return;
-    bool started = false;
-    std::size_t i = 0;
-    std::size_t examined = 0;
-    while (i < spec_candidates_.size() && examined < sched_.spec.window) {
-      TaskNode* task = spec_candidates_[i];
-      if (task->state() != TaskState::kPending || task->speculating()) {
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      ++examined;
-      if (!serializer_.spec_eligible(task, &contested)) {
-        ++i;  // may become eligible once a predecessor weakens
-        continue;
-      }
-      bool throttled = false;
-      for (ObjectId obj : contested) {
-        if (spec_gov_.object_throttled(obj)) {
-          throttled = true;
-          break;
-        }
-      }
-      if (throttled) {
-        // This object keeps conflicting; stop betting on it.  The task is
-        // dropped from the candidate list for good — it runs normally.
-        spec_gov_.note_denied();
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (ft_enabled()) {
-        // Never speculate across a crashed owner or a lost object: the
-        // normal path's recovery parking / unrecoverable error must not be
-        // bypassed by a snapshot of possibly-doomed bytes.
-        bool risky = false;
-        for (ObjectId obj : st(task).objects) {
-          if (directory_.lost(obj) ||
-              !ft_->injector().machine_up(directory_.owner(obj))) {
-            risky = true;
-            break;
-          }
-        }
-        if (risky) {
-          ++i;
-          continue;
-        }
-      }
-      const MachineId m = planner_->place_task(
-          directory_,
-          {st(task).objects, free, locality, st(task).creator_machine});
-      if (m < 0) {
-        ++i;
-        continue;
-      }
-      spec_candidates_.erase(spec_candidates_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      start_speculation(task, m, contested);
-      started = true;
-      break;
-    }
-    if (!started) return;
+  std::vector<int> free;
+  while (spec_.can_start() && count_free_contexts(free) > 0) {
+    TaskNode* task = spec_.launch([&](TaskNode* cand) -> MachineId {
+      const SimTask& c = st(cand);
+      if (ft_enabled() && spec_at_risk(c)) return -1;
+      return planner_->place_task(
+          directory_, {c.objects, free, locality, c.creator_machine});
+    });
+    if (task == nullptr) return;
+    const MachineId m = task->assigned_machine;
+    Machine& mach = machines_[static_cast<std::size_t>(m)];
+    JADE_ASSERT(mach.free_contexts > 0);
+    --mach.free_contexts;
+    SimTask& t = st(task);
+    t.machine = m;
+    t.dispatched = sim_.now();
+    JADE_TRACE("t=" << sim_.now() << " speculate " << task->name()
+                    << " -> machine " << m);
+    t.process = sim_.spawn(task->name(), [this, task] { spec_process(task); });
   }
-}
-
-void SimEngine::start_speculation(TaskNode* task, MachineId m,
-                                  std::vector<ObjectId> contested) {
-  serializer_.spec_start(task);
-  spec_gov_.note_start();
-  Machine& mach = machines_[static_cast<std::size_t>(m)];
-  JADE_ASSERT(mach.free_contexts > 0);
-  --mach.free_contexts;
-  SimTask& t = st(task);
-  t.machine = m;
-  t.dispatched = sim_.now();
-  task->assigned_machine = m;
-  t.spec.active = true;
-  t.spec.body_done = false;
-  t.spec.failed = false;
-  t.spec.shadows.clear();
-  t.spec.dirty.clear();
-  t.spec.epochs.clear();
-  t.spec.contested = std::move(contested);
-  t.spec.charge_base = task->charged_work;
-  // Snapshot-isolated staging copies of every declared immediate object,
-  // with the serializer's write epoch at capture time.  Pure-commute rights
-  // are excluded: exercising one aborts the attempt.  Single-threaded
-  // simulation makes the bytes+epoch capture atomic by construction.
-  for (const DeclRecord* rec : task->ordered_records()) {
-    if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-    auto view = directory_.data_view(rec->obj);
-    t.spec.epochs.emplace_back(rec->obj, serializer_.write_epoch(rec->obj));
-    t.spec.shadows.emplace_back(
-        rec->obj, std::vector<std::byte>(view.begin(), view.end()));
-  }
-  JADE_TRACE("t=" << sim_.now() << " speculate " << task->name()
-                  << " -> machine " << m);
-  tracer_.instant(obs::Subsystem::kEngine, "spec.dispatch", task->id(), m,
-                  static_cast<double>(t.spec.contested.size()));
-  t.process =
-      sim_.spawn(task->name(), [this, task] { spec_process(task); });
 }
 
 void SimEngine::spec_process(TaskNode* task) {
   SimTask& t = st(task);
-  occupy_runtime(t, cluster_.task_dispatch_overhead);
+  occupy(t, machines_[t.machine].runtime_free_until,
+         cluster_.task_dispatch_overhead);
   t.body_start = sim_.now();
-  TaskContext ctx(this, task);
-  try {
-    task->body(ctx);
-  } catch (const SpeculationUnwind&) {
-    t.spec.failed = true;
-  } catch (...) {
-    if (sim_.tearing_down() ||
-        (sim_.current() != nullptr && sim_.current()->abandoned())) {
-      throw;
-    }
-    // A speculative body's failure may be an artifact of snapshot staleness;
-    // abort silently — a genuine error reproduces on the normal re-run.
-    t.spec.failed = true;
-  }
-  t.spec.body_done = true;
+  spec_.body_finished(task, run_speculative_body(task));
   release_context(t);
   if (task->state() == TaskState::kReady) {
     // The serializer enabled the task while the body ran; the queued
@@ -895,153 +734,61 @@ void SimEngine::spec_process(TaskNode* task) {
 
 void SimEngine::decide_speculation(TaskNode* task) {
   SimTask& t = st(task);
-  JADE_ASSERT(t.spec.active);
-  if (!t.spec.body_done) return;  // spec_process re-decides at body end
-  JADE_ASSERT(task->state() == TaskState::kReady);
-  bool ok = !t.spec.failed;
-  bool conflict = false;
-  if (ok && ft_enabled()) {
-    for (ObjectId obj : t.objects) {
-      if (directory_.lost(obj) ||
-          !ft_->injector().machine_up(directory_.owner(obj))) {
-        ok = false;
-        break;
-      }
-    }
+  const SpeculationExecutor::Outcome outcome =
+      spec_.decide(task, ft_enabled() && spec_at_risk(t));
+  if (outcome == SpeculationExecutor::Outcome::kPending) return;
+  end_speculation(t);
+  if (outcome == SpeculationExecutor::Outcome::kCommitted) {
+    queue_wait_hist_->observe(t.dispatched - t.created);
+    exec_hist_->observe(sim_.now() - t.body_start);
+    if (ft_enabled()) stats_.finish_time = sim_.now();
+    maybe_release_throttled();
   }
-  if (ok) {
-    // The serializer is the commit check: the task is enabled in serial
-    // order, and unchanged write epochs prove no conflicting write
-    // materialized since the snapshot.
-    for (const auto& [obj, epoch] : t.spec.epochs) {
-      if (serializer_.write_epoch(obj) != epoch) {
-        ok = false;
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (ok) {
-    commit_speculation(task);
-  } else {
-    abort_speculation(task, /*charge_history=*/conflict);
-  }
+  // The caller dispatches the fallout (post_serializer).
 }
 
-void SimEngine::commit_speculation(TaskNode* task) {
-  SimTask& t = st(task);
-  serializer_.spec_commit(task);  // kReady -> kRunning, in serial order
-  spec_gov_.note_commit();
-  t.spec.active = false;
-  // The buffered writes become the canonical bytes *before* complete_task
-  // can enable any successor — exactly where a normal run's writes would
-  // already be.  Stale replicas drop and the data version advances the
-  // same way a normal first write's invalidation does.
-  for (ObjectId obj : t.spec.dirty) {
-    for (auto& [sobj, bytes] : t.spec.shadows) {
-      if (sobj != obj) continue;
-      std::copy(bytes.begin(), bytes.end(), directory_.data(obj));
-      break;
-    }
-    serializer_.bump_write_epoch(obj);
-    if (!cluster_.shared_memory())
-      coherence_->first_write_invalidate(t.machine, obj, t.attempt.dirtied);
-  }
-  JADE_TRACE("t=" << sim_.now() << " spec-commit " << task->name());
-  tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
-                  t.machine, static_cast<double>(t.spec.dirty.size()));
-  if (sched_.record_timeline) {
-    timeline_.push_back(TaskTimeline{task->id(), task->name(), t.machine,
-                                     t.created, t.dispatched, t.body_start,
-                                     sim_.now(), task->charged_work});
-  }
-  queue_wait_hist_->observe(t.dispatched - t.created);
-  exec_hist_->observe(sim_.now() - t.body_start);
-  if (tracer_.enabled()) {
-    // The task's span materializes at its serial position (zero width: the
-    // work itself ran earlier, speculatively).
-    tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(), t.machine,
-                       task->name());
-    tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), t.machine,
-                     task->charged_work);
-  }
-  task->body = nullptr;
-  t.spec.shadows.clear();
-  t.spec.epochs.clear();
-  if (ft_enabled()) stats_.finish_time = sim_.now();
-  serializer_.complete_task(task);
-  t.process = nullptr;
-  t.machine = -1;
-  maybe_release_throttled();
-  // The caller (post_serializer's decide loop) dispatches the fallout.
+bool SimEngine::spec_at_risk(const SimTask& t) const {
+  return std::any_of(t.objects.begin(), t.objects.end(), [this](ObjectId obj) {
+    return directory_.lost(obj) ||
+           !ft_->injector().machine_up(directory_.owner(obj));
+  });
 }
 
-void SimEngine::abort_speculation(TaskNode* task, bool charge_history) {
-  SimTask& t = st(task);
-  std::uint64_t wasted_bytes = 0;
-  for (const auto& [obj, bytes] : t.spec.shadows) wasted_bytes += bytes.size();
-  const double wasted_work = task->charged_work - t.spec.charge_base;
-  spec_gov_.note_abort(
-      charge_history ? t.spec.contested : std::vector<ObjectId>{},
-      wasted_bytes, wasted_work);
-  task->charged_work = t.spec.charge_base;
-  serializer_.spec_abort(task);
-  JADE_TRACE("t=" << sim_.now() << " spec-abort " << task->name());
-  tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(), t.machine,
-                  wasted_work);
-  t.spec.active = false;
-  t.spec.body_done = false;
-  t.spec.failed = false;
-  t.spec.shadows.clear();
-  t.spec.dirty.clear();
-  t.spec.epochs.clear();
-  t.spec.contested.clear();
+void SimEngine::end_speculation(SimTask& t) {
   t.process = nullptr;
   t.machine = -1;
   t.wait = Wait::kNone;
-  task->assigned_machine = -1;
   // An already-enabled task re-enters the normal dispatch path; a pending
-  // one routes through on_task_ready normally now the flag is down.
-  if (task->state() == TaskState::kReady) ready_.push_back(task);
+  // one routes through on_task_ready normally now its flag is down.
+  if (t.node->state() == TaskState::kReady) ready_.push_back(t.node);
 }
 
 void SimEngine::abort_speculations_on(MachineId m) {
-  if (!spec_gov_.enabled()) return;
+  if (!spec_.enabled()) return;
   // Creation order (deterministic): sim_tasks_ appends at spawn.  The
   // shadow buffers of a resident speculation die with the machine — even a
   // finished body's, since its writeback never happened.
   for (SimTask& t : sim_tasks_) {
-    if (!t.spec.active || t.machine != m) continue;
+    if (!t.node->speculating() || t.machine != m) continue;
     Process* p = t.process;
-    abort_speculation(t.node, /*charge_history=*/false);
+    spec_.abort(t.node);
+    end_speculation(t);
     if (p != nullptr && p->state() != Process::State::kDone) sim_.abort(p);
   }
 }
 
-std::byte* SimEngine::spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                         std::uint8_t mode) {
-  SimTask& t = st(task);
-  JADE_ASSERT(t.spec.active);
-  DeclRecord* rec = task->find_record(obj);
-  // Undeclared or commuting access: abort the speculation; the normal
-  // re-run raises the real error (or takes the commute token) at the same
-  // deterministic point.
-  if (rec == nullptr ||
-      (mode & static_cast<std::uint8_t>(~rec->immediate)) ||
-      (mode & access::kCommute)) {
-    throw SpeculationUnwind{};
-  }
-  for (auto& [sobj, bytes] : t.spec.shadows) {
-    if (sobj != obj) continue;
-    if (mode & access::kWrite) {
-      if (std::find(t.spec.dirty.begin(), t.spec.dirty.end(), obj) ==
-          t.spec.dirty.end()) {
-        t.spec.dirty.push_back(obj);
-      }
-    }
-    return bytes.data();
-  }
-  throw SpeculationUnwind{};  // no shadow (pure-commute record)
+std::vector<std::byte> SimEngine::read_bytes(ObjectId obj) {
+  return get_bytes(obj);
+}
+
+void SimEngine::publish_bytes(TaskNode* task, ObjectId obj,
+                              std::span<const std::byte> bytes) {
+  std::copy(bytes.begin(), bytes.end(), directory_.data(obj));
+  // Stale replicas drop and the data version advances the same way a
+  // normal first write's invalidation does.
+  if (!cluster_.shared_memory())
+    coherence_->first_write_invalidate(st(task).machine, obj,
+                                       st(task).attempt.dirtied);
 }
 
 // --- fault tolerance (ft/recovery_coordinator.hpp does the protocol) -------

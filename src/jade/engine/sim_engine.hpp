@@ -30,7 +30,9 @@
 //   * ft/recovery_coordinator.hpp — fault plan, failure detection, attempt
 //     kill/rollback, directory surgery, re-queueing;
 //   * sched/governor.hpp   — commute-token exclusivity and creation
-//     throttling, shared with ThreadEngine.
+//     throttling, shared with ThreadEngine;
+//   * sched/speculation.hpp — speculative run-ahead, shared with
+//     ThreadEngine.
 #pragma once
 
 #include <deque>
@@ -42,9 +44,9 @@
 #include "jade/mach/machine.hpp"
 #include "jade/model/planner.hpp"
 #include "jade/net/network.hpp"
-#include "jade/obs/timeline_view.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
+#include "jade/sched/speculation.hpp"
 #include "jade/sim/simulation.hpp"
 #include "jade/store/coherence.hpp"
 #include "jade/store/directory.hpp"
@@ -53,7 +55,9 @@ namespace jade {
 
 class FaultyNetwork;
 
-class SimEngine : public Engine, private SerializerListener {
+class SimEngine : public Engine,
+                  private SerializerListener,
+                  private SpeculationHooks {
  public:
   SimEngine(ClusterConfig cluster, SchedPolicy sched, bool enforce_hierarchy,
             FaultConfig fault = {},
@@ -94,9 +98,6 @@ class SimEngine : public Engine, private SerializerListener {
     return ft_ ? &ft_->injector() : nullptr;
   }
 
-  /// Per-task execution records (empty unless sched.record_timeline).
-  const std::vector<TaskTimeline>& timeline() const { return timeline_; }
-
  protected:
   /// Trace timestamps are virtual time — the whole point of tracing a
   /// deterministic simulation is a deterministic trace.
@@ -115,29 +116,6 @@ class SimEngine : public Engine, private SerializerListener {
     kRecovery,  ///< object's owner crashed; recovery re-homes, then resumes
   };
 
-  /// Per-task speculation state (SchedPolicy::spec).  Lives beside the
-  /// AttemptState rollback image: a speculation never needs pre-write
-  /// snapshots because its writes land in the shadow buffers — discarding
-  /// them IS the rollback, which is also why a speculative task stays
-  /// restartable by construction.
-  struct SpecState {
-    bool active = false;     ///< a speculative attempt is live (uncommitted)
-    bool body_done = false;  ///< the speculative body finished executing
-    bool failed = false;     ///< body hit an unsupported op or threw
-    /// Snapshot-isolated buffers, one per declared non-pure-commute
-    /// immediate object, in declaration order.
-    std::vector<std::pair<ObjectId, std::vector<std::byte>>> shadows;
-    /// Objects the body wrote (subset of shadows, first-write order).
-    std::vector<ObjectId> dirty;
-    /// Per-object serializer write epochs captured at snapshot time; the
-    /// commit check compares them against the current epochs.
-    std::vector<std::pair<ObjectId, std::uint64_t>> epochs;
-    /// Objects whose unexercised-writer predecessors the speculation bets
-    /// on — the conflict-history throttle's accounting key.
-    std::vector<ObjectId> contested;
-    double charge_base = 0;  ///< charged_work at speculative dispatch
-  };
-
   struct SimTask {
     TaskNode* node = nullptr;
     Process* process = nullptr;
@@ -148,8 +126,7 @@ class SimEngine : public Engine, private SerializerListener {
     /// Rollback state of the current attempt; the recovery coordinator
     /// restores/clears it on kill (docs/FAULT_TOLERANCE.md).
     AttemptState attempt;
-    SpecState spec;
-    // timeline capture (when sched.record_timeline)
+    // phase times for the queue-wait and execution histograms
     SimTime created = 0;
     SimTime dispatched = 0;
     SimTime body_start = 0;
@@ -185,31 +162,36 @@ class SimEngine : public Engine, private SerializerListener {
   /// Dispatches + delivers queued unblocks; call after every serializer
   /// mutation.
   void post_serializer();
+  /// Fills `free` with each machine's free contexts; returns their sum.
+  int count_free_contexts(std::vector<int>& free) const;
   void try_dispatch();
   void assign(TaskNode* task, MachineId m);
 
-  // --- speculative execution (SchedPolicy::spec) ---------------------------
-  /// Dispatches eligible pending tasks speculatively onto leftover free
+  // --- speculative execution (sched/speculation.hpp does the protocol) -----
+  /// Launches eligible pending tasks speculatively onto leftover free
   /// contexts, after the ready loop has taken everything it wants.
   void try_spec_dispatch();
-  void start_speculation(TaskNode* task, MachineId m,
-                         std::vector<ObjectId> contested);
   /// The body of a speculative attempt's sim process: runs the task body
   /// against the shadow buffers, then hands the context back and (if the
   /// serializer enabled the task meanwhile) decides commit/abort.
   void spec_process(TaskNode* task);
-  /// Commit check at serial enable time: no-op until the body is done;
-  /// then commits (epochs unchanged, body clean) or aborts.
+  /// The commit check of an enabled speculation, then the engine's side of
+  /// the outcome.
   void decide_speculation(TaskNode* task);
-  void commit_speculation(TaskNode* task);
-  /// `charge_history` distinguishes a data-conflict abort (throttles the
-  /// contested objects) from a crash/failure abort (does not).
-  void abort_speculation(TaskNode* task, bool charge_history);
+  /// Fault-tolerance veto: one of the task's objects is lost or its owner
+  /// is down, so the normal path must handle it (recovery parking, or the
+  /// unrecoverable error), not a snapshot of possibly-doomed bytes.
+  bool spec_at_risk(const SimTask& t) const;
+  /// Detaches a decided or aborted speculation from its process and
+  /// context; an aborted, already-enabled task re-enters normal dispatch.
+  void end_speculation(SimTask& t);
   /// Crash handling: aborts every live speculation resident on `m` before
   /// the recovery coordinator scans for restartable victims.
   void abort_speculations_on(MachineId m);
-  std::byte* spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                std::uint8_t mode);
+  // SpeculationHooks
+  std::vector<std::byte> read_bytes(ObjectId obj) override;
+  void publish_bytes(TaskNode* task, ObjectId obj,
+                     std::span<const std::byte> bytes) override;
 
   /// The body of every task's sim process.
   void task_process(TaskNode* task);
@@ -225,12 +207,10 @@ class SimEngine : public Engine, private SerializerListener {
   void maybe_release_throttled();
   void deliver_unblock(TaskNode* task);
 
-  /// Occupies the machine's compute CPU for `seconds` of virtual time
-  /// (parking the current task process until done).
-  void occupy_cpu(SimTask& t, SimTime seconds);
-
-  /// Same, on the machine's runtime lane (task management overheads).
-  void occupy_runtime(SimTask& t, SimTime seconds);
+  /// Occupies one lane of `t`'s machine — the compute CPU (charge()) or the
+  /// runtime lane (task management) — for `seconds` of virtual time,
+  /// parking the current task process until done.
+  void occupy(SimTask& t, SimTime& lane_free_until, SimTime seconds);
 
   /// Single-object transfer to `t.machine` via the coherence protocol.
   /// Immediate (returns now) on shared-memory platforms.  Under fault
@@ -282,16 +262,9 @@ class SimEngine : public Engine, private SerializerListener {
   /// Task-creation throttling thresholds + counters (shared implementation
   /// with ThreadEngine); counters fold into stats_ at the end of run().
   ThrottleGate throttle_;
-  /// Speculation budget + conflict-history throttle + counters (shared
-  /// implementation with ThreadEngine); folds into stats_ like throttle_.
-  SpeculationGovernor spec_gov_;
-  /// Pending tasks in creation order — the speculative dispatcher's
-  /// candidate scan window.  Entries are dropped once no longer pending.
-  std::deque<TaskNode*> spec_candidates_;
-  /// Speculating tasks the serializer enabled, awaiting their commit check
-  /// (drained in post_serializer; commit order = serial enable order).
-  std::deque<TaskNode*> spec_decide_;
-  std::vector<TaskTimeline> timeline_;
+  /// Speculative run-ahead (shared implementation with ThreadEngine);
+  /// counters fold into stats_ like throttle_'s.
+  SpeculationExecutor spec_;
 
   /// Clock + network adapter handed to the runtime services; must outlive
   /// them and sit above sim_ so parked-process unwind still finds it.

@@ -106,7 +106,7 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
       directory_(cluster_.machine_count()),
       serializer_(this, enforce_hierarchy),
       throttle_(sched_.throttle),
-      spec_gov_(sched_.spec) {
+      spec_(sched_.spec, serializer_, *this, tracer_) {
   cluster_.validate();
   if (sched_.contexts_per_machine < 1)
     throw ConfigError("contexts_per_machine must be >= 1");

@@ -12,12 +12,12 @@ namespace jade {
 namespace {
 /// Thrown inside a blocked task to unwind it when another task has already
 /// failed; never escapes the engine.
-struct EngineAborting {};
+struct EngineAborting : EngineUnwind {};
 }  // namespace
 
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
 thread_local ThreadEngine::ThreadSlot* ThreadEngine::tls_slot_ = nullptr;
-thread_local ThreadEngine::SpecAttempt* ThreadEngine::tls_spec_ = nullptr;
+thread_local SpeculationExecutor::Attempt* ThreadEngine::tls_spec_ = nullptr;
 
 ThreadEngine::TlsBinding::TlsBinding(ThreadEngine* engine, ThreadSlot* slot)
     : prev_engine_(tls_engine_), prev_slot_(tls_slot_) {
@@ -38,7 +38,7 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
                                   : model::default_planner()),
       throttle_(throttle),
       serializer_(this, enforce_hierarchy),
-      spec_gov_(spec) {
+      spec_(spec, serializer_, *this, tracer_) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
   // Pre-sized so publishing a slot is a single release store of slot_count_
   // (stealers scan the prefix without locking).
@@ -189,7 +189,7 @@ void ThreadEngine::idle_park(ThreadSlot* slot,
   sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
   bool wake_now = stop_.load(std::memory_order_seq_cst) ||
                   ready_count_.load(std::memory_order_seq_cst) > 0 ||
-                  (spec_gov_.enabled() &&
+                  (spec_.enabled() &&
                    spec_epoch_.load(std::memory_order_seq_cst) !=
                        slot->spec_seen_epoch);
   if (!wake_now && extra_wake) {
@@ -221,7 +221,7 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
   if (task->speculating()) {
     // The task already ran (or is running) speculatively; it needs a
     // commit/abort decision, not a dispatch.
-    spec_decide_.push_back(task);
+    spec_.note_enabled(task);
     return;
   }
   slot->deque.push(task);
@@ -347,10 +347,7 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       unblocked_.clear();
       commute_ = CommuteTokenTable{};
       throttle_.reset_counters();
-      spec_gov_.reset_counters();
-      spec_candidates_.clear();
-      spec_decide_.clear();
-      spec_attempts_.clear();
+      spec_.reset();
       first_error_ = nullptr;
       stats_ = RuntimeStats{};
       const int nslots = slot_count_.load(std::memory_order_relaxed);
@@ -449,14 +446,8 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
     metrics_.gauge(prefix + ".max_queue_depth")
         .set(static_cast<double>(depth[m]));
   }
-  stats_.throttle_suspensions = throttle_.suspensions();
-  stats_.throttle_giveups = throttle_.giveups();
-  stats_.spec_started = spec_gov_.started();
-  stats_.spec_committed = spec_gov_.committed();
-  stats_.spec_aborted = spec_gov_.aborted();
-  stats_.spec_denied = spec_gov_.denied();
-  stats_.spec_wasted_bytes = spec_gov_.wasted_bytes();
-  stats_.spec_wasted_work = spec_gov_.wasted_work();
+  throttle_.fold_into(stats_);
+  spec_.fold_into(stats_);
   publish_runtime_stats();
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -493,34 +484,14 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
                        slot->machine, task->name());
   }
   JADE_TRACE("exec-start " << task->name());
-  TaskContext ctx(this, task);
   bool failed = false;
-  TenantCtl* ctl = task->tenant();
-  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed)) {
-    // Forced teardown, dispatch edge: skip the body entirely and complete
-    // through the serializer as if it had run — successors (this tenant's
-    // and everyone else's) are released in the normal order.
-    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    try {
-      task->body(ctx);
-    } catch (const EngineAborting&) {
-      failed = true;  // unwound because another task already failed
-    } catch (const TenantUnwind&) {
-      // Teardown caught the body at a spawn/wait edge; complete normally.
-      if (ctl != nullptr)
-        ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      if (ctl != nullptr) {
-        // Per-tenant failure containment: the failure stays the tenant's
-        // (recorded, tenant cancelled); the engine keeps serving others.
-        ctl->record_failure(std::current_exception());
-        ctl->cancelled.store(true, std::memory_order_relaxed);
-      } else {
-        record_error(std::current_exception());
-        failed = true;
-      }
-    }
+  try {
+    run_body(task);
+  } catch (const EngineAborting&) {
+    failed = true;  // unwound because another task already failed
+  } catch (...) {
+    record_error(std::current_exception());
+    failed = true;
   }
   task->body = nullptr;
   bool drained = false;
@@ -569,9 +540,7 @@ void ThreadEngine::spawn(TaskNode* parent,
   TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
                                            std::move(name), tenant);
   ++stats_.tasks_created;
-  if (spec_gov_.enabled() && task->state() == TaskState::kPending &&
-      task->tenant() == nullptr) {
-    spec_candidates_.push_back(task);
+  if (spec_.enabled() && spec_.offer(task)) {
     // Candidates bypass ready_count_, so run the same register-then-recheck
     // wake protocol by hand: bump the epoch (parking threads re-check it),
     // then unpark one already-parked thread to scan.
@@ -669,7 +638,10 @@ void ThreadEngine::with_cont(TaskNode* task,
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
-  if (task->speculating()) return spec_acquire_bytes(task, obj, mode);
+  // A speculating body reads its attempt's shadows, lock-free: the attempt
+  // is pinned to this thread through tls_spec_.
+  if (task->speculating())
+    return SpeculationExecutor::shadow(tls_spec_, task, obj, mode);
   {
     std::unique_lock<std::mutex> lock(mu_);
     const bool must_block = serializer_.acquire(task, obj, mode);
@@ -727,106 +699,33 @@ void ThreadEngine::wait_unblocked(TaskNode* task,
   JADE_TRACE("unblk-exit " << task->name());
 }
 
-// --- speculation (SchedPolicy::spec) ----------------------------------------
+// --- speculation (sched/speculation.hpp does the protocol) ------------------
 
 bool ThreadEngine::try_speculate(ThreadSlot* slot) {
-  if (!spec_gov_.enabled()) return false;
-  TaskNode* picked = nullptr;
-  SpecAttempt* att = nullptr;
+  if (!spec_.enabled()) return false;
+  TaskNode* task = nullptr;
+  SpeculationExecutor::Attempt* attempt = nullptr;
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     // This scan observes every candidate registered so far; only a later
     // registration should keep this thread from parking.
     slot->spec_seen_epoch = spec_epoch_.load(std::memory_order_seq_cst);
-    if (first_error_ != nullptr || !spec_gov_.can_start()) return false;
-    std::vector<ObjectId> contested;
-    std::size_t i = 0;
-    std::size_t examined = 0;
-    while (i < spec_candidates_.size() &&
-           examined < spec_gov_.config().window) {
-      TaskNode* task = spec_candidates_[i];
-      if (task->state() != TaskState::kPending || task->speculating()) {
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      ++examined;
-      if (!serializer_.spec_eligible(task, &contested)) {
-        ++i;  // may become eligible once a predecessor weakens
-        continue;
-      }
-      bool throttled = false;
-      for (ObjectId obj : contested) {
-        if (spec_gov_.object_throttled(obj)) {
-          throttled = true;
-          break;
-        }
-      }
-      if (throttled) {
-        // This object keeps conflicting; stop betting on it.  The task is
-        // dropped from the candidate list for good — it runs normally.
-        spec_gov_.note_denied();
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      spec_candidates_.erase(spec_candidates_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      picked = task;
-      break;
-    }
-    if (picked == nullptr) return false;
-    serializer_.spec_start(picked);
-    spec_gov_.note_start();
-    auto attempt = std::make_unique<SpecAttempt>();
-    attempt->task = picked;
-    attempt->charge_base = picked->charged_work;
-    attempt->contested = std::move(contested);
-    // Epoch+bytes capture is atomic w.r.t. conflicting writers while mu_ is
-    // held: a conflicting predecessor's first touch must pass through
-    // Serializer::acquire (under mu_, bumping the epoch), and successors are
-    // blocked behind this task's own linked records.  Pure-commute rights
-    // are excluded: exercising one aborts the attempt.
-    for (const DeclRecord* rec : picked->ordered_records()) {
-      if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-      attempt->epochs.emplace_back(rec->obj,
-                                   serializer_.write_epoch(rec->obj));
-      attempt->shadows.emplace_back(rec->obj, buffers_.get(rec->obj));
-    }
-    att = attempt.get();
-    spec_attempts_[picked] = std::move(attempt);
-    if (tracer_.enabled())
-      tracer_.instant(obs::Subsystem::kEngine, "spec.dispatch", picked->id(),
-                      slot->machine,
-                      static_cast<double>(att->contested.size()));
+    if (first_error_ != nullptr || !spec_.can_start()) return false;
+    // Work stealing has no placement step: the thread that finds the bet
+    // runs it.
+    task = spec_.launch([slot](TaskNode*) { return slot->machine; });
+    if (task == nullptr) return false;
+    attempt = spec_.attempt(task);
   }
-  run_speculation(picked, att, slot);
-  return true;
-}
-
-void ThreadEngine::run_speculation(TaskNode* task, SpecAttempt* att,
-                                   ThreadSlot* slot) {
-  task->assigned_machine = slot->machine;
   JADE_TRACE("spec-start " << task->name());
-  TaskContext ctx(this, task);
-  SpecAttempt* prev_spec = tls_spec_;
-  tls_spec_ = att;
-  bool failed = false;
-  try {
-    task->body(ctx);
-  } catch (const SpeculationUnwind&) {
-    failed = true;
-  } catch (...) {
-    // A speculative body's failure may be an artifact of snapshot staleness;
-    // abort silently — a genuine error reproduces on the normal re-run.
-    failed = true;
-  }
+  SpeculationExecutor::Attempt* prev_spec = tls_spec_;
+  tls_spec_ = attempt;
+  const bool clean = run_speculative_body(task);
   tls_spec_ = prev_spec;
   bool drained = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    att->failed = failed;
-    att->body_done = true;
+    spec_.body_finished(task, clean);
     if (task->state() == TaskState::kReady) {
       // The serializer enabled the task while the body ran; the queued
       // decision was a no-op then, so decide here, at the body's end.
@@ -837,128 +736,36 @@ void ThreadEngine::run_speculation(TaskNode* task, SpecAttempt* att,
     }
   }
   if (drained) unpark_all();  // the drain thread may be parked
+  return true;
 }
 
 void ThreadEngine::drain_spec_decides_locked(ThreadSlot* slot) {
-  while (!spec_decide_.empty()) {
-    TaskNode* task = spec_decide_.front();
-    spec_decide_.pop_front();
-    if (!task->speculating()) continue;  // already decided
+  while (TaskNode* task = spec_.next_enabled())
     decide_speculation_locked(task, slot);
-  }
 }
 
 void ThreadEngine::decide_speculation_locked(TaskNode* task,
                                              ThreadSlot* slot) {
-  auto it = spec_attempts_.find(task);
-  JADE_ASSERT(it != spec_attempts_.end());
-  SpecAttempt& att = *it->second;
-  if (!att.body_done) return;  // run_speculation re-decides at the body end
-  JADE_ASSERT(task->state() == TaskState::kReady);
-  bool ok = !att.failed;
-  bool conflict = false;
-  if (ok) {
-    // The serializer is the commit check: the task is enabled in serial
-    // order, and unchanged write epochs prove no conflicting write
-    // materialized since the snapshot.
-    for (const auto& [obj, epoch] : att.epochs) {
-      if (serializer_.write_epoch(obj) != epoch) {
-        ok = false;
-        conflict = true;
-        break;
-      }
-    }
+  const SpeculationExecutor::Outcome outcome = spec_.decide(task);
+  if (outcome == SpeculationExecutor::Outcome::kAborted) {
+    on_task_ready(task);  // enabled already: back to normal dispatch
+  } else if (outcome == SpeculationExecutor::Outcome::kCommitted) {
+    ++slot->executed;
+    // Starting+completing the task shrank the backlog; suspended creators
+    // watch it.
+    if (throttle_waiters_ > 0 &&
+        throttle_.backlog_drained(serializer_.backlog()))
+      state_cv_.notify_all();
   }
-  if (ok) {
-    commit_speculation_locked(task, att, slot);
-  } else {
-    abort_speculation_locked(task, att, /*charge_history=*/conflict);
-  }
-  spec_attempts_.erase(it);
 }
 
-void ThreadEngine::commit_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                             ThreadSlot* slot) {
-  serializer_.spec_commit(task);  // kReady -> kRunning, in serial order
-  spec_gov_.note_commit();
-  // The buffered writes become the canonical bytes *before* complete_task
-  // can enable any successor — exactly where a normal run's writes would
-  // already be.
-  for (ObjectId obj : att.dirty) {
-    for (const auto& [sobj, bytes] : att.shadows) {
-      if (sobj != obj) continue;
-      buffers_.put(obj, bytes);
-      break;
-    }
-    serializer_.bump_write_epoch(obj);
-  }
-  JADE_TRACE("spec-commit " << task->name());
-  if (tracer_.enabled()) {
-    tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
-                    slot->machine, static_cast<double>(att.dirty.size()));
-    // The task's span materializes at its serial position (zero width: the
-    // work itself ran earlier, speculatively).
-    tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),
-                       slot->machine, task->name());
-    tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(),
-                     slot->machine, task->charged_work);
-  }
-  task->body = nullptr;
-  ++slot->executed;
-  serializer_.complete_task(task);
-  // Starting+completing the task shrank the backlog; suspended creators
-  // watch it.
-  if (throttle_waiters_ > 0 &&
-      throttle_.backlog_drained(serializer_.backlog()))
-    state_cv_.notify_all();
+std::vector<std::byte> ThreadEngine::read_bytes(ObjectId obj) {
+  return get_bytes(obj);
 }
 
-void ThreadEngine::abort_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                            bool charge_history) {
-  std::uint64_t wasted_bytes = 0;
-  for (const auto& [obj, bytes] : att.shadows) wasted_bytes += bytes.size();
-  const double wasted_work = task->charged_work - att.charge_base;
-  spec_gov_.note_abort(
-      charge_history ? att.contested : std::vector<ObjectId>{}, wasted_bytes,
-      wasted_work);
-  // The attempt's charge never happened; the per-thread cell keeps it as
-  // wasted-work contribution to the global total (mirroring ft kills).
-  task->charged_work = att.charge_base;
-  serializer_.spec_abort(task);
-  JADE_TRACE("spec-abort " << task->name());
-  if (tracer_.enabled())
-    tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(),
-                    machine_of(task), wasted_work);
-  task->assigned_machine = -1;
-  // An already-enabled task re-enters the normal dispatch path.
-  if (task->state() == TaskState::kReady) on_task_ready(task);
-}
-
-std::byte* ThreadEngine::spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                            std::uint8_t mode) {
-  SpecAttempt* att = tls_spec_;
-  JADE_ASSERT_MSG(att != nullptr && att->task == task,
-                  "speculative access outside its executing thread");
-  DeclRecord* rec = task->find_record(obj);
-  // Undeclared or commuting access: abort the speculation; the normal
-  // re-run raises the real error (or takes the commute token) at the same
-  // deterministic point.
-  if (rec == nullptr ||
-      (mode & static_cast<std::uint8_t>(~rec->immediate)) ||
-      (mode & access::kCommute)) {
-    throw SpeculationUnwind{};
-  }
-  for (auto& [sobj, bytes] : att->shadows) {
-    if (sobj != obj) continue;
-    if (mode & access::kWrite) {
-      if (std::find(att->dirty.begin(), att->dirty.end(), obj) ==
-          att->dirty.end()) {
-        att->dirty.push_back(obj);
-      }
-    }
-    return bytes.data();
-  }
-  throw SpeculationUnwind{};  // no shadow (pure-commute record)
+void ThreadEngine::publish_bytes(TaskNode* /*task*/, ObjectId obj,
+                                 std::span<const std::byte> bytes) {
+  buffers_.put(obj, bytes);
 }
 
 void ThreadEngine::charge(TaskNode* task, double units) {

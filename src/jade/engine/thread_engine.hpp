@@ -29,11 +29,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -42,12 +40,15 @@
 #include "jade/model/planner.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
+#include "jade/sched/speculation.hpp"
 #include "jade/support/parker.hpp"
 #include "jade/support/work_steal_deque.hpp"
 
 namespace jade {
 
-class ThreadEngine : public Engine, private SerializerListener {
+class ThreadEngine : public Engine,
+                     private SerializerListener,
+                     private SpeculationHooks {
  public:
   ThreadEngine(int workers, ThrottleConfig throttle, bool enforce_hierarchy,
                SpecConfig spec = {},
@@ -144,27 +145,6 @@ class ThreadEngine : public Engine, private SerializerListener {
     ThreadSlot* prev_slot_;
   };
 
-  /// One speculative attempt's private state (SchedPolicy::spec).  Created
-  /// under mu_ when the speculation starts; the executing thread reads the
-  /// shadow buffers lock-free through tls_spec_ (nothing else touches them
-  /// until body_done, which is only set under mu_); destroyed under mu_ at
-  /// commit/abort.
-  struct SpecAttempt {
-    TaskNode* task = nullptr;
-    bool body_done = false;
-    bool failed = false;
-    double charge_base = 0;
-    /// Snapshot-isolated staging copies of the declared immediate objects.
-    std::vector<std::pair<ObjectId, std::vector<std::byte>>> shadows;
-    std::vector<ObjectId> dirty;  ///< shadows written by the body, in order
-    /// Serializer write epoch per snapshotted object at capture time;
-    /// unchanged epochs at decision time are the commit proof.
-    std::vector<std::pair<ObjectId, std::uint64_t>> epochs;
-    /// Objects contested by a not-yet-exercised predecessor writer (the
-    /// bet); they charge the governor's conflict history on a data abort.
-    std::vector<ObjectId> contested;
-  };
-
   void on_task_ready(TaskNode* task) override;
   void on_task_unblocked(TaskNode* task) override;
 
@@ -219,28 +199,21 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// execute() but may have taken tokens in its body.
   void release_commute_tokens_locked(TaskNode* task);
 
-  // --- speculation (run-ahead when a worker finds no ready task) -----------
+  // --- speculation (sched/speculation.hpp does the protocol) ---------------
 
-  /// Picks an eligible pending candidate and runs it speculatively on this
-  /// thread; false when speculation is off, over budget, or nothing
-  /// qualifies (the caller proceeds to spin/park).
+  /// Launches a candidate and runs its body on this thread (no lock held),
+  /// deciding at the body's end if the serializer enabled the task
+  /// meanwhile.  False when nothing was launched (the caller spins/parks).
   bool try_speculate(ThreadSlot* slot);
-  /// Runs the speculative body (no lock held) and, if the serializer enabled
-  /// the task meanwhile, decides commit/abort at the body's end.
-  void run_speculation(TaskNode* task, SpecAttempt* att, ThreadSlot* slot);
-  /// Drains spec_decide_ (tasks that turned kReady while speculating); call
-  /// after every serializer-mutating section, with mu_ held.
+  /// Runs the queued commit checks; call after every serializer-mutating
+  /// section, with mu_ held.
   void drain_spec_decides_locked(ThreadSlot* slot);
+  /// One commit check plus the engine's side of its outcome (mu_ held).
   void decide_speculation_locked(TaskNode* task, ThreadSlot* slot);
-  void commit_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                 ThreadSlot* slot);
-  void abort_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                bool charge_history);
-  /// acquire_bytes for a speculatively executing body: translate into the
-  /// attempt's shadow buffers, lock-free (the attempt is pinned to this
-  /// thread via tls_spec_).
-  std::byte* spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                std::uint8_t mode);
+  // SpeculationHooks (called with mu_ held)
+  std::vector<std::byte> read_bytes(ObjectId obj) override;
+  void publish_bytes(TaskNode* task, ObjectId obj,
+                     std::span<const std::byte> bytes) override;
 
   /// Registers the next ThreadSlot (single-threaded at run() start, under
   /// mu_ afterwards) and publishes it to stealing threads.
@@ -252,9 +225,10 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// so a nested Runtime inside a task body cannot misroute callbacks.
   static thread_local ThreadEngine* tls_engine_;
   static thread_local ThreadSlot* tls_slot_;
-  /// The speculation the calling thread is currently executing, if any
-  /// (installed around the body in run_speculation).
-  static thread_local SpecAttempt* tls_spec_;
+  /// The speculative attempt the calling thread is executing, if any
+  /// (installed around the body in try_speculate); its shadows are read
+  /// lock-free through it.
+  static thread_local SpeculationExecutor::Attempt* tls_spec_;
 
   const int workers_requested_;
   /// Policy seam (docs/MODEL.md): work stealing places tasks implicitly
@@ -275,21 +249,15 @@ class ThreadEngine : public Engine, private SerializerListener {
   std::condition_variable state_cv_;  ///< blocked tasks / throttled creators
   Serializer serializer_;
   std::unordered_set<TaskNode*> unblocked_;
-  /// Speculation budget + per-object conflict-history throttle (shared
-  /// implementation with SimEngine, sched/governor.hpp).  Mutated under mu_.
-  SpeculationGovernor spec_gov_;
-  /// Pending tasks registered at spawn as possible speculation targets.
-  std::deque<TaskNode*> spec_candidates_;
+  /// Speculative run-ahead (shared implementation with SimEngine).
+  /// Called under mu_, except the lock-free shadow reads via tls_spec_.
+  SpeculationExecutor spec_;
   /// Bumped (under mu_) when a candidate is registered.  Candidates do not
   /// raise ready_count_, so without this a thread that found no work before
   /// the registration would park and never learn about the bet — the
   /// spawner may be deep inside a long task body and in the worst case
   /// every other thread sleeps through the whole speculation window.
   std::atomic<std::uint64_t> spec_epoch_{0};
-  /// Speculating tasks the serializer enabled (diverted by on_task_ready);
-  /// decided by drain_spec_decides_locked.
-  std::deque<TaskNode*> spec_decide_;
-  std::unordered_map<TaskNode*, std::unique_ptr<SpecAttempt>> spec_attempts_;
   /// Commuting-update exclusivity (Section 4.3 extension): commuters may
   /// execute in any order but their accesses are mutually exclusive.  A
   /// task takes an object's token at its first commute accessor and holds

@@ -33,9 +33,42 @@ class Parser {
     throw LangError(msg, cur().line);
   }
 
+  /// The parser is at most this many levels deep at once, which keeps the
+  /// AST's height within a small multiple of it; deeper input is a syntax
+  /// error rather than a stack overflow in the parser, in the recursive AST
+  /// destructor or in the recursive interpreter.
+  static constexpr int kMaxDepth = 256;
+
+  /// The nesting levels one parser frame has entered, released when the
+  /// frame returns.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {}
+    ~Nest() { p_.depth_ -= levels_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+    /// Enters one more level: a nested statement or unary operand, or one
+    /// step of a left-associative chain (`a+b+c`, `a[i][j]`), which puts
+    /// everything parsed before it one tree node deeper.
+    void enter() {
+      if (p_.depth_ == kMaxDepth)
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                " levels");
+      ++p_.depth_;
+      ++levels_;
+    }
+
+   private:
+    Parser& p_;
+    int levels_ = 0;
+  };
+
   // --- statements ----------------------------------------------------------
 
   StmtPtr statement() {
+    Nest nest(*this);
+    nest.enter();
     switch (cur().kind) {
       case Tok::kLBrace: return block();
       case Tok::kVar: return var_decl();
@@ -197,63 +230,87 @@ class Parser {
   ExprPtr expression() { return or_expr(); }
 
   ExprPtr or_expr() {
+    Nest nest(*this);
     ExprPtr e = and_expr();
     while (at(Tok::kOrOr)) {
       take();
+      nest.enter();
       e = binary("||", std::move(e), and_expr());
     }
     return e;
   }
 
   ExprPtr and_expr() {
+    Nest nest(*this);
     ExprPtr e = equality();
     while (at(Tok::kAndAnd)) {
       take();
+      nest.enter();
       e = binary("&&", std::move(e), equality());
     }
     return e;
   }
 
   ExprPtr equality() {
+    Nest nest(*this);
     ExprPtr e = relational();
     for (;;) {
-      if (at(Tok::kEq)) { take(); e = binary("==", std::move(e), relational()); }
-      else if (at(Tok::kNe)) { take(); e = binary("!=", std::move(e), relational()); }
-      else return e;
+      const char* op = at(Tok::kEq) ? "==" : at(Tok::kNe) ? "!=" : nullptr;
+      if (op == nullptr) return e;
+      take();
+      nest.enter();
+      e = binary(op, std::move(e), relational());
     }
   }
 
   ExprPtr relational() {
+    Nest nest(*this);
     ExprPtr e = additive();
     for (;;) {
-      if (at(Tok::kLt)) { take(); e = binary("<", std::move(e), additive()); }
-      else if (at(Tok::kGt)) { take(); e = binary(">", std::move(e), additive()); }
-      else if (at(Tok::kLe)) { take(); e = binary("<=", std::move(e), additive()); }
-      else if (at(Tok::kGe)) { take(); e = binary(">=", std::move(e), additive()); }
-      else return e;
+      const char* op = at(Tok::kLt)   ? "<"
+                       : at(Tok::kGt) ? ">"
+                       : at(Tok::kLe) ? "<="
+                       : at(Tok::kGe) ? ">="
+                                      : nullptr;
+      if (op == nullptr) return e;
+      take();
+      nest.enter();
+      e = binary(op, std::move(e), additive());
     }
   }
 
   ExprPtr additive() {
+    Nest nest(*this);
     ExprPtr e = multiplicative();
     for (;;) {
-      if (at(Tok::kPlus)) { take(); e = binary("+", std::move(e), multiplicative()); }
-      else if (at(Tok::kMinus)) { take(); e = binary("-", std::move(e), multiplicative()); }
-      else return e;
+      const char* op = at(Tok::kPlus) ? "+" : at(Tok::kMinus) ? "-" : nullptr;
+      if (op == nullptr) return e;
+      take();
+      nest.enter();
+      e = binary(op, std::move(e), multiplicative());
     }
   }
 
   ExprPtr multiplicative() {
+    Nest nest(*this);
     ExprPtr e = unary();
     for (;;) {
-      if (at(Tok::kStar)) { take(); e = binary("*", std::move(e), unary()); }
-      else if (at(Tok::kSlash)) { take(); e = binary("/", std::move(e), unary()); }
-      else if (at(Tok::kPercent)) { take(); e = binary("%", std::move(e), unary()); }
-      else return e;
+      const char* op = at(Tok::kStar)      ? "*"
+                       : at(Tok::kSlash)   ? "/"
+                       : at(Tok::kPercent) ? "%"
+                                           : nullptr;
+      if (op == nullptr) return e;
+      take();
+      nest.enter();
+      e = binary(op, std::move(e), unary());
     }
   }
 
+  // Every other expression recursion (parentheses, call arguments, unary
+  // operators) passes through here once per level.
   ExprPtr unary() {
+    Nest nest(*this);
+    nest.enter();
     if (at(Tok::kMinus)) {
       const int line = take().line;
       auto e = std::make_unique<Expr>();
@@ -276,9 +333,11 @@ class Parser {
   }
 
   ExprPtr postfix() {
+    Nest nest(*this);
     ExprPtr e = primary();
     while (at(Tok::kLBracket)) {
       const int line = take().line;
+      nest.enter();
       auto idx = std::make_unique<Expr>();
       idx->kind = Expr::Kind::kIndex;
       idx->line = line;
@@ -340,6 +399,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

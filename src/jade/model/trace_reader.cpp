@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -166,11 +167,15 @@ class JsonParser {
     ++pos_;
   }
 
+  /// Containers nest at most this deep (the exporter writes four levels);
+  /// deeper input is rejected before it can overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
   JsonValue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return nested(&JsonParser::object);
+      case '[': return nested(&JsonParser::array);
       case '"': return string_value();
       case 't': return keyword("true", [] (JsonValue& v) {
         v.kind = JsonValue::Kind::kBool; v.boolean = true; });
@@ -179,6 +184,15 @@ class JsonParser {
       case 'n': return keyword("null", [] (JsonValue&) {});
       default: return number();
     }
+  }
+
+  JsonValue nested(JsonValue (JsonParser::*container)()) {
+    if (depth_ == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    ++depth_;
+    JsonValue v = (this->*container)();
+    --depth_;
+    return v;
   }
 
   template <typename Fill>
@@ -286,6 +300,7 @@ class JsonParser {
 
   std::string text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 /// TraceEvent::name must point at static storage; parsed names are interned
@@ -334,16 +349,26 @@ std::vector<obs::TraceEvent> read_chrome_trace(std::istream& in) {
       e.cat = subsystem_from(cat->string);
     if (const JsonValue* name = ev.find("name"))
       e.name = intern_name(name->string);
-    if (const JsonValue* tid = ev.find("tid"))
+    // Range checks before the integer casts: converting an out-of-range
+    // double is undefined behaviour, not an error.
+    if (const JsonValue* tid = ev.find("tid")) {
+      // tid = machine + 1 (0 is the host track).
+      if (!(tid->number >= 0 &&
+            tid->number <= std::numeric_limits<MachineId>::max()))
+        throw ProtocolError("trace JSON: tid out of range");
       e.machine = static_cast<MachineId>(tid->number) - 1;
+    }
     if (const JsonValue* ts = ev.find("ts")) e.ts = ts->number * 1e-6;
     if (const JsonValue* args = ev.find("args")) {
       if (const JsonValue* value = args->find("value"))
         e.value = value->number;
       if (const JsonValue* detail = args->find("detail"))
         e.detail = detail->string;
-      if (const JsonValue* id = args->find("id"))
+      if (const JsonValue* id = args->find("id")) {
+        if (!(id->number >= 0 && id->number < 0x1p64))
+          throw ProtocolError("trace JSON: args.id out of range");
         e.id = static_cast<std::uint64_t>(id->number);
+      }
     }
     // Span ends carry the correlation id only as the hex "id" field.
     if (e.id == 0) {

@@ -1,15 +1,12 @@
 // Task timelines: the one TaskTimeline type, its text Gantt renderer, and
-// the trace-derived rebuild.
+// its source, the trace.
 //
-// SimEngine records TaskTimeline rows directly (opt-in via
-// SchedPolicy::record_timeline) — the tooling behind the Figure 7
-// walkthrough output and schedule debugging.  timeline_from_trace rebuilds
-// the same records from the engine-category trace events ("task.created" /
-// "task.dispatched" / "task.body_start" instants plus the "task" span end),
-// so the in-engine recorder and the structured trace share one source of
-// truth.  A task killed by fault injection and re-dispatched contributes
-// its *last* attempt's dispatch/body-start times — the same thing the
-// in-engine recorder captures.
+// timeline_from_trace builds the records from the engine-category trace
+// events ("task.created" / "task.dispatched" / "task.body_start" instants
+// plus the "task" span end) — the tooling behind the Figure 7 walkthrough
+// output and schedule debugging.  A task killed by fault injection and
+// re-dispatched contributes its *last* attempt's dispatch/body-start
+// times.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +50,9 @@ std::vector<double> machine_utilization(
 
 namespace obs {
 
-/// One TaskTimeline per completed "task" span, in completion order (the
-/// order the in-engine recorder appends).  Events of other categories are
-/// ignored, so the full mixed stream can be passed directly.
+/// One TaskTimeline per completed "task" span, in completion order.  Events
+/// of other categories are ignored, so the full mixed stream can be passed
+/// directly.
 std::vector<TaskTimeline> timeline_from_trace(
     std::span<const TraceEvent> events);
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "jade/core/object.hpp"
+#include "jade/core/stats.hpp"
 #include "jade/core/tenant.hpp"
 #include "jade/sched/policies.hpp"
 
@@ -106,8 +107,12 @@ class ThrottleGate {
 
   void note_suspension() { ++suspensions_; }
   void note_giveup() { ++giveups_; }
-  std::uint64_t suspensions() const { return suspensions_; }
-  std::uint64_t giveups() const { return giveups_; }
+
+  /// Publishes the suspension/give-up counters into `stats`.
+  void fold_into(RuntimeStats& stats) const {
+    stats.throttle_suspensions = suspensions_;
+    stats.throttle_giveups = giveups_;
+  }
 
   /// Zeroes the accounting for a fresh run on a reused engine.
   void reset_counters() {
@@ -119,81 +124,6 @@ class ThrottleGate {
   ThrottleConfig config_;
   std::uint64_t suspensions_ = 0;
   std::uint64_t giveups_ = 0;
-};
-
-/// Budget and conflict-history accounting for speculative execution
-/// (SchedPolicy::spec).  Owns the speculation counters the engines publish
-/// into RuntimeStats when run() ends, the live-speculation budget, and the
-/// per-object abort history that stops the engine re-speculating past
-/// objects that keep conflicting.  Like ThrottleGate, the governor never
-/// synchronizes — SimEngine is single-threaded, ThreadEngine calls under
-/// mu_ — and never touches unordered iteration on a decision path (the
-/// abort history is keyed lookups only), so decisions are deterministic.
-class SpeculationGovernor {
- public:
-  explicit SpeculationGovernor(SpecConfig config) : config_(config) {}
-
-  bool enabled() const { return config_.enabled; }
-  const SpecConfig& config() const { return config_; }
-
-  /// True while the live-speculation budget has room.
-  bool can_start() const {
-    return config_.enabled && live_ < config_.max_live;
-  }
-
-  /// True when `obj`'s abort history says to stop speculating past it.
-  bool object_throttled(ObjectId obj) const {
-    auto it = conflict_history_.find(obj);
-    return it != conflict_history_.end() &&
-           it->second >= config_.conflict_limit;
-  }
-
-  void note_start() {
-    ++live_;
-    ++started_;
-  }
-  void note_commit() {
-    --live_;
-    ++committed_;
-  }
-  /// An abort charges every contested object's conflict history and books
-  /// the discarded shadow bytes + charge units as waste.
-  void note_abort(const std::vector<ObjectId>& contested,
-                  std::uint64_t wasted_bytes, double wasted_work) {
-    --live_;
-    ++aborted_;
-    wasted_bytes_ += wasted_bytes;
-    wasted_work_ += wasted_work;
-    for (ObjectId obj : contested) ++conflict_history_[obj];
-  }
-  void note_denied() { ++denied_; }
-
-  int live() const { return live_; }
-  std::uint64_t started() const { return started_; }
-  std::uint64_t committed() const { return committed_; }
-  std::uint64_t aborted() const { return aborted_; }
-  std::uint64_t denied() const { return denied_; }
-  std::uint64_t wasted_bytes() const { return wasted_bytes_; }
-  double wasted_work() const { return wasted_work_; }
-
-  /// Zeroes accounting and history for a fresh run on a reused engine.
-  void reset_counters() {
-    started_ = committed_ = aborted_ = denied_ = 0;
-    wasted_bytes_ = 0;
-    wasted_work_ = 0;
-    conflict_history_.clear();
-  }
-
- private:
-  SpecConfig config_;
-  int live_ = 0;
-  std::uint64_t started_ = 0;
-  std::uint64_t committed_ = 0;
-  std::uint64_t aborted_ = 0;
-  std::uint64_t denied_ = 0;
-  std::uint64_t wasted_bytes_ = 0;
-  double wasted_work_ = 0;
-  std::unordered_map<ObjectId, int> conflict_history_;
 };
 
 /// Splits a pool of live-task slots among tenants in proportion to their

@@ -73,8 +73,6 @@ struct SpecConfig {
   /// Per-object conflict-history throttle: after this many aborted
   /// speculations contested on an object, stop speculating past it.
   int conflict_limit = 2;
-  /// How far down the pending backlog the candidate scan looks.
-  std::size_t window = 32;
 };
 
 struct SchedPolicy {
@@ -83,8 +81,6 @@ struct SchedPolicy {
   int contexts_per_machine = 2;
   /// Prefer placing tasks where their objects already live.
   bool locality = true;
-  /// Record a per-task TaskTimeline (SimEngine; see obs/timeline_view.hpp).
-  bool record_timeline = false;
   ThrottleConfig throttle;
   CommConfig comm;
   SpecConfig spec;

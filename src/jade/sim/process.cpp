@@ -8,7 +8,7 @@ namespace jade {
 namespace {
 /// Thrown inside a process thread to unwind its stack when the simulation
 /// tears down while the process is parked.  Never escapes thread_main.
-struct ProcessAborted {};
+struct ProcessAborted : EngineUnwind {};
 }  // namespace
 
 Process::Process(Simulation* sim, std::string name,

@@ -82,6 +82,13 @@ class InternalError : public JadeError {
   explicit InternalError(const std::string& what) : JadeError(what) {}
 };
 
+/// Base of the runtime's own stack-unwinding signals: a simulated process
+/// aborted by fault injection or teardown, a ThreadEngine task unwound
+/// because another task already failed.  They are not task failures —
+/// tenant containment and speculative attempts let them pass — so they
+/// always reach the engine code that raised them for.
+struct EngineUnwind {};
+
 namespace detail {
 [[noreturn]] void throw_internal(const char* file, int line, const char* expr,
                                  const std::string& msg);

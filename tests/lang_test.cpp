@@ -94,6 +94,38 @@ TEST(LangParser, SyntaxErrorsCarryLines) {
   EXPECT_THROW(parse("for (var i = 0; i < 2) {}"), LangError);
 }
 
+TEST(LangParser, DeepNestingIsASyntaxError) {
+  const std::string deep(100000, '(');
+  EXPECT_THROW(parse("x = " + deep + "1;"), LangError);
+  EXPECT_THROW(parse(std::string(100000, '{')), LangError);
+  EXPECT_THROW(parse("x = " + std::string(100000, '-') + "1;"), LangError);
+  // Nesting well inside the bound still parses.
+  EXPECT_NO_THROW(parse("x = " + std::string(50, '(') + "1" +
+                        std::string(50, ')') + ";"));
+}
+
+TEST(LangParser, LongOperatorChainsAreASyntaxError) {
+  // Left-associative chains build trees as deep as they are long.
+  auto chain = [](const std::string& lhs, const std::string& step,
+                  int steps) {
+    std::string s = lhs + " = 0";
+    for (int i = 0; i < steps; ++i) s += step;
+    return s + ";";
+  };
+  EXPECT_THROW(parse(chain("x", "+1", 100000)), LangError);
+  EXPECT_THROW(parse(chain("x", "*1", 100000)), LangError);
+  EXPECT_THROW(parse(chain("x", "<1", 100000)), LangError);
+  EXPECT_THROW(parse(chain("x", "&&1", 100000)), LangError);
+  EXPECT_THROW(parse(chain("x", "[0]", 100000)), LangError);
+  // A chain well inside the bound still parses and evaluates.
+  Runtime rt;
+  Environment env;
+  auto out = rt.alloc<double>(1, "out");
+  env.bind("out", out);
+  run_program(rt, parse(chain("out[0]", "+1", 100)), env);
+  EXPECT_DOUBLE_EQ(rt.get(out)[0], 100.0);
+}
+
 TEST(LangParser, Precedence) {
   // 1 + 2 * 3 < 10 && 4 == 4  parses and evaluates as expected.
   Runtime rt;

@@ -229,6 +229,33 @@ TEST(TraceReader, MalformedJsonThrows) {
   EXPECT_THROW(model::read_chrome_trace(in), ProtocolError);
 }
 
+std::vector<obs::TraceEvent> read_trace(const std::string& text) {
+  std::istringstream in(text);
+  return model::read_chrome_trace(in);
+}
+
+TEST(TraceReader, DeepNestingThrows) {
+  EXPECT_THROW(read_trace(std::string(100000, '[')), ProtocolError);
+  EXPECT_THROW(read_trace("{\"traceEvents\":" + std::string(100000, '[')),
+               ProtocolError);
+}
+
+TEST(TraceReader, OutOfRangeIntegersThrow) {
+  auto trace = [](const std::string& tid, const std::string& id) {
+    return "{\"traceEvents\":[{\"ph\":\"i\",\"cat\":\"engine\",\"name\":"
+           "\"x\",\"pid\":1,\"tid\":" +
+           tid + ",\"ts\":0,\"args\":{\"id\":" + id + "}}]}";
+  };
+  const auto events = read_trace(trace("3", "7"));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].machine, 2);
+  EXPECT_EQ(events[0].id, 7u);
+  EXPECT_THROW(read_trace(trace("1e300", "7")), ProtocolError);
+  EXPECT_THROW(read_trace(trace("-2147483648", "7")), ProtocolError);
+  EXPECT_THROW(read_trace(trace("3", "1e300")), ProtocolError);
+  EXPECT_THROW(read_trace(trace("3", "-1")), ProtocolError);
+}
+
 // --- Profiler --------------------------------------------------------------
 
 TEST(Profiler, ChainHasUnitParallelism) {

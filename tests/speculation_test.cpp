@@ -26,12 +26,36 @@ RuntimeConfig sim_config(int machines, SchedPolicy sched) {
   return cfg;
 }
 
+RuntimeConfig thread_config(int threads, SchedPolicy sched) {
+  RuntimeConfig cfg;
+  cfg.engine = EngineKind::kThread;
+  cfg.threads = threads;
+  cfg.sched = sched;
+  return cfg;
+}
+
 SchedPolicy spec_on(int max_live = 8, int conflict_limit = 2) {
   SchedPolicy sched;
   sched.spec.enabled = true;
   sched.spec.max_live = max_live;
   sched.spec.conflict_limit = conflict_limit;
   return sched;
+}
+
+/// The conservative stage the bets here are against: it declares rd_wr on
+/// `ctrl` and writes `writes` into it only when that is non-zero.  It must
+/// last long enough for idle workers to run ahead: one virtual second, plus
+/// a real sleep on ThreadEngine.
+void spawn_stage(TaskContext& ctx, const Runtime& rt, SharedRef<int> ctrl,
+                 int writes = 0) {
+  const bool sleeps = rt.config().engine == EngineKind::kThread;
+  ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
+               [ctrl, sleeps, writes](TaskContext& t) {
+                 t.charge(1e7);
+                 if (sleeps)
+                   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                 if (writes != 0) t.read_write(ctrl)[0] = writes;
+               });
 }
 
 /// The canonical speculation-friendly shape: a conservative "refresh" stage
@@ -42,10 +66,7 @@ double run_pipeline(Runtime& rt, SharedRef<int> ctrl,
                     const std::vector<SharedRef<int>>& outs, int rounds) {
   rt.run([&](TaskContext& ctx) {
     for (int r = 0; r < rounds; ++r) {
-      ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                   [](TaskContext& t) {
-                     t.charge(1e7);  // 1 virtual second; no write happens
-                   });
+      spawn_stage(ctx, rt, ctrl);
       for (auto out : outs) {
         ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
                      [ctrl, out, r](TaskContext& t) {
@@ -145,30 +166,6 @@ TEST(SimSpeculation, ConflictHistoryThrottlesRepeatOffenders) {
   EXPECT_GE(s.spec_denied, 1u);
 }
 
-TEST(SimSpeculation, UnsupportedOperationsAbortSilently) {
-  // A speculative body that spawns (or changes its declaration) cannot run
-  // ahead; it aborts, re-runs normally, and the child still executes.
-  Runtime rt(sim_config(4, spec_on()));
-  auto ctrl = rt.alloc<int>(1);
-  auto out = rt.alloc<int>(1);
-  rt.run([&](TaskContext& ctx) {
-    ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                 [](TaskContext& t) { t.charge(1e7); });
-    ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.df_wr(out); },
-                 [ctrl, out](TaskContext& t) {
-                   t.charge(1e6);
-                   (void)t.read(ctrl)[0];
-                   // Deferred->immediate conversion is a with_cont edge the
-                   // snapshot path cannot take.
-                   t.with_cont([&](AccessDecl& d) { d.wr(out); });
-                   t.write(out)[0] = 41;
-                 });
-  });
-  EXPECT_EQ(rt.get(out)[0], 41);
-  const RuntimeStats& s = rt.stats();
-  EXPECT_EQ(s.spec_started, s.spec_committed + s.spec_aborted);
-}
-
 TEST(SimSpeculation, SameSeedRunsAreDeterministic) {
   auto capture = [&] {
     Runtime rt(sim_config(8, spec_on()));
@@ -183,8 +180,123 @@ TEST(SimSpeculation, SameSeedRunsAreDeterministic) {
   EXPECT_EQ(capture(), capture());
 }
 
-TEST(SimSpeculation, CountersReachTheMetricsRegistry) {
-  Runtime rt(sim_config(4, spec_on()));
+// --- Both engines: unsupported operations and the metrics registry --------
+
+class SpeculationOnEngine : public ::testing::TestWithParam<EngineKind> {
+ protected:
+  RuntimeConfig config() const {
+    return GetParam() == EngineKind::kThread ? thread_config(4, spec_on())
+                                             : sim_config(4, spec_on());
+  }
+
+  /// Runs `program` on SerialEngine and, with speculation on, on the engine
+  /// under test: the results must match, every bet that started must have
+  /// ended in a commit or an abort, and at least one bet must have aborted.
+  /// SimEngine's schedule is deterministic, so one run decides.  On
+  /// ThreadEngine a bet starts only if an idle worker reaches it while the
+  /// stage sleeps, so the run repeats until one has aborted.
+  template <typename Program>
+  void expect_serial_result_after_abort(Program program) const {
+    Runtime serial;
+    const auto want = program(serial);
+    const int tries = GetParam() == EngineKind::kThread ? 5 : 1;
+    std::uint64_t aborted = 0;
+    for (int i = 0; i < tries && aborted == 0; ++i) {
+      Runtime rt(config());
+      EXPECT_EQ(program(rt), want);
+      const RuntimeStats& s = rt.stats();
+      EXPECT_EQ(s.spec_started, s.spec_committed + s.spec_aborted);
+      aborted = s.spec_aborted;
+    }
+    EXPECT_GE(aborted, 1u) << "no bet aborted: the abort path never ran";
+  }
+};
+
+TEST_P(SpeculationOnEngine, UnsupportedOperationsAbortSilently) {
+  // A deferred->immediate conversion is a with-cont edge the snapshot path
+  // cannot take: the bet aborts and the task re-runs normally.
+  expect_serial_result_after_abort([](Runtime& rt) {
+    auto ctrl = rt.alloc<int>(1);
+    auto out = rt.alloc<int>(1);
+    rt.run([&](TaskContext& ctx) {
+      spawn_stage(ctx, rt, ctrl);
+      ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.df_wr(out); },
+                   [ctrl, out](TaskContext& t) {
+                     t.charge(1e6);
+                     (void)t.read(ctrl)[0];
+                     t.with_cont([&](AccessDecl& d) { d.wr(out); });
+                     t.write(out)[0] = 41;
+                   });
+    });
+    return rt.get(out);
+  });
+}
+
+TEST_P(SpeculationOnEngine, SpawnAbortsSilently) {
+  // Creating a task escapes the snapshot-isolated attempt; the normal
+  // re-run creates the child for real.
+  expect_serial_result_after_abort([](Runtime& rt) {
+    auto ctrl = rt.alloc<int>(1);
+    auto out = rt.alloc<int>(1);
+    rt.run([&](TaskContext& ctx) {
+      spawn_stage(ctx, rt, ctrl);
+      ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
+                   [ctrl, out](TaskContext& t) {
+                     const int base = t.read(ctrl)[0];
+                     t.withonly([&](AccessDecl& d) { d.wr(out); },
+                                [out, base](TaskContext& c) {
+                                  c.write(out)[0] = base + 7;
+                                });
+                   });
+    });
+    return rt.get(out);
+  });
+}
+
+TEST_P(SpeculationOnEngine, UndeclaredAccessAbortsSilently) {
+  // The stage's write materializes, so a bet runs on a stale snapshot in
+  // which the body reaches for an object it never declared.  That must
+  // abort the attempt, not fail the run: the normal re-run sees the
+  // written value and stays within its declaration.
+  expect_serial_result_after_abort([](Runtime& rt) {
+    auto ctrl = rt.alloc<int>(1);
+    auto other = rt.alloc<int>(1);
+    auto out = rt.alloc<int>(1);
+    rt.run([&](TaskContext& ctx) {
+      spawn_stage(ctx, rt, ctrl, /*writes=*/3);
+      ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
+                   [ctrl, other, out](TaskContext& t) {
+                     const int c = t.read(ctrl)[0];
+                     if (c == 0) (void)t.read(other)[0];  // undeclared
+                     t.write(out)[0] = c + 1;
+                   });
+    });
+    return rt.get(out);
+  });
+}
+
+TEST_P(SpeculationOnEngine, CommuteAcquisitionAbortsSilently) {
+  // Commuting updates need the token machinery, which the snapshot path
+  // does not take; each bet aborts and the commuters re-run under it.
+  expect_serial_result_after_abort([](Runtime& rt) {
+    auto ctrl = rt.alloc<int>(1);
+    auto acc = rt.alloc<int>(1);
+    rt.run([&](TaskContext& ctx) {
+      spawn_stage(ctx, rt, ctrl);
+      for (int i = 0; i < 3; ++i) {
+        ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.cm(acc); },
+                     [ctrl, acc](TaskContext& t) {
+                       const int c = t.read(ctrl)[0];
+                       t.commute(acc)[0] += c + 1;
+                     });
+      }
+    });
+    return rt.get(acc);
+  });
+}
+
+TEST_P(SpeculationOnEngine, CountersReachTheMetricsRegistry) {
+  Runtime rt(config());
   auto ctrl = rt.alloc<int>(1);
   std::vector<SharedRef<int>> outs{rt.alloc<int>(1), rt.alloc<int>(1)};
   run_pipeline(rt, ctrl, outs, 1);
@@ -198,15 +310,14 @@ TEST(SimSpeculation, CountersReachTheMetricsRegistry) {
   EXPECT_EQ(m.counter("spec.wasted_bytes").value(), s.spec_wasted_bytes);
 }
 
-// --- ThreadEngine: real parallelism, correctness under any interleaving ----
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SpeculationOnEngine,
+    ::testing::Values(EngineKind::kSim, EngineKind::kThread),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return info.param == EngineKind::kSim ? "Sim" : "Thread";
+    });
 
-RuntimeConfig thread_config(int threads, SchedPolicy sched) {
-  RuntimeConfig cfg;
-  cfg.engine = EngineKind::kThread;
-  cfg.threads = threads;
-  cfg.sched = sched;
-  return cfg;
-}
+// --- ThreadEngine: real parallelism, correctness under any interleaving ----
 
 TEST(ThreadSpeculation, SerialSemanticsUnderCommitsAndAborts) {
   for (int iter = 0; iter < 20; ++iter) {

@@ -1,18 +1,19 @@
-// Tests for the SimEngine task-timeline recorder and its renderers.
+// Tests for the trace-derived task timeline (obs/timeline_view) and its
+// renderers, on traced SimEngine runs.
 #include <gtest/gtest.h>
 
 #include "jade/core/runtime.hpp"
-#include "jade/engine/sim_engine.hpp"
 #include "jade/mach/presets.hpp"
+#include "jade/obs/timeline_view.hpp"
 
 namespace jade {
 namespace {
 
-Runtime make_runtime(bool record, int machines = 2) {
+Runtime make_runtime(int machines = 2) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kSim;
   cfg.cluster = presets::ipsc860(machines);
-  cfg.sched.record_timeline = record;
+  cfg.obs.trace = true;
   return Runtime(std::move(cfg));
 }
 
@@ -30,19 +31,14 @@ void run_sample(Runtime& rt, int tasks = 6) {
   });
 }
 
-TEST(Timeline, DisabledByDefault) {
-  Runtime rt = make_runtime(false);
-  run_sample(rt);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  ASSERT_NE(eng, nullptr);
-  EXPECT_TRUE(eng->timeline().empty());
+std::vector<TaskTimeline> timeline(const Runtime& rt) {
+  return obs::timeline_from_trace(rt.trace_events());
 }
 
 TEST(Timeline, RecordsOrderedPhasesPerTask) {
-  Runtime rt = make_runtime(true);
+  Runtime rt = make_runtime();
   run_sample(rt, 6);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  const auto& tl = eng->timeline();
+  const auto tl = timeline(rt);
   ASSERT_EQ(tl.size(), 7u);  // 6 tasks + root
   int real_tasks = 0;
   for (const auto& t : tl) {
@@ -60,22 +56,18 @@ TEST(Timeline, RecordsOrderedPhasesPerTask) {
 }
 
 TEST(Timeline, GanttRendersAllMachines) {
-  Runtime rt = make_runtime(true, 3);
+  Runtime rt = make_runtime(3);
   run_sample(rt, 9);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  const std::string g =
-      render_gantt(eng->timeline(), 3, rt.sim_duration(), 40);
+  const std::string g = render_gantt(timeline(rt), 3, rt.sim_duration(), 40);
   EXPECT_NE(g.find("m0 |"), std::string::npos);
   EXPECT_NE(g.find("m2 |"), std::string::npos);
   EXPECT_NE(g.find('#'), std::string::npos);  // someone executed something
 }
 
 TEST(Timeline, ResidencyBoundedByContextsAndPositive) {
-  Runtime rt = make_runtime(true, 2);  // default: 2 contexts per machine
+  Runtime rt = make_runtime(2);  // default: 2 contexts per machine
   run_sample(rt, 8);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  const auto util =
-      machine_utilization(eng->timeline(), 2, rt.sim_duration());
+  const auto util = machine_utilization(timeline(rt), 2, rt.sim_duration());
   ASSERT_EQ(util.size(), 2u);
   for (double u : util) {
     EXPECT_GT(u, 0.0);
@@ -88,38 +80,13 @@ TEST(Timeline, ResidencyBoundedByContextsAndPositive) {
   }
 }
 
-TEST(Timeline, GanttAgreesBetweenRecorderAndTrace) {
-  // The recorded timeline and the trace-derived one are the same data
-  // (obs/timeline_view.hpp holds the single TaskTimeline type), so both
-  // must render the identical Gantt for a seeded run.
-  RuntimeConfig cfg;
-  cfg.engine = EngineKind::kSim;
-  cfg.cluster = presets::ipsc860(3);
-  cfg.sched.record_timeline = true;
-  cfg.obs.trace = true;
-  Runtime rt(std::move(cfg));
-  run_sample(rt, 9);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  ASSERT_NE(eng, nullptr);
-  const std::vector<TaskTimeline> derived =
-      obs::timeline_from_trace(rt.trace_events());
-  const std::string from_recorder =
-      render_gantt(eng->timeline(), 3, rt.sim_duration(), 48);
-  const std::string from_trace =
-      render_gantt(derived, 3, rt.sim_duration(), 48);
-  EXPECT_FALSE(from_recorder.empty());
-  EXPECT_EQ(from_recorder, from_trace);
-}
-
 TEST(Timeline, QueueWaitGrowsWhenMachinesOversubscribed) {
   // 12 equal tasks on 1 machine: later tasks wait longer in the ready
   // queue than the first ones.
-  Runtime rt = make_runtime(true, 1);
+  Runtime rt = make_runtime(1);
   run_sample(rt, 12);
-  auto* eng = dynamic_cast<SimEngine*>(&rt.engine());
-  const auto& tl = eng->timeline();
   SimTime first_wait = -1, last_wait = -1;
-  for (const auto& t : tl) {
+  for (const auto& t : timeline(rt)) {
     if (t.task_id == 1) first_wait = t.queue_wait();
     if (t.task_id == 12) last_wait = t.queue_wait();
   }
