@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "jade/cluster/worker.hpp"
+#include "jade/ft/recovery.hpp"
 #include "jade/support/error.hpp"
 
 namespace jade::cluster {
@@ -131,11 +132,9 @@ void ClusterEngine::ensure_workers_started() {
   for (int m = 0; m < options_.workers; ++m) {
     WorkerSlot& slot = slots_[static_cast<std::size_t>(m)];
     slot.machine = m;
-    ActivateMsg act;
-    act.machine = m;
-    act.machines = options_.workers;
-    act.heartbeat_interval = options_.heartbeat_interval;
-    slot.channel->queue(FrameType::kActivate, pack(act));
+    slot.channel->queue(FrameType::kActivate,
+                        pack(ActivateMsg{m, options_.workers,
+                                         options_.heartbeat_interval}));
     while (slot.channel->want_write())
       if (!slot.channel->flush())
         throw ConfigError("cluster: worker died during activation");
@@ -481,38 +480,40 @@ void ClusterEngine::handle_spawn_locked(int s, const SpawnMsg& msg) {
   // re-run would create its children twice.
   recs_[parent].restartable = false;
   if (aborting_) return;
-  if (msg.body < 0 || msg.body >= BodyRegistry::instance().size()) {
-    abort_run_locked(std::make_exception_ptr(ConfigError(
-        "spawn names unregistered body index " + std::to_string(msg.body))));
-    return;
-  }
-  if (msg.placement >= options_.workers) {
-    abort_run_locked(std::make_exception_ptr(
-        ConfigError("task placement " + std::to_string(msg.placement) +
-                    " exceeds the cluster's " +
-                    std::to_string(options_.workers) + " workers")));
-    return;
-  }
   std::vector<AccessRequest> requests;
   requests.reserve(msg.requests.size());
   for (const ReqMsg& r : msg.requests)
     requests.push_back({r.obj, r.add_immediate, r.add_deferred, r.remove});
-  TaskNode* child = nullptr;
   try {
-    child = serializer_.create_task(parent, requests, {}, msg.name);
+    create_registered_locked(parent, requests, msg.body, msg.args, msg.name,
+                             msg.placement);
   } catch (...) {
-    // Hierarchy/tenant violations from a remote spawn have no ack channel
-    // to ride back on; they end the run, like a root-thread throw.
+    // A bad body or placement, or a hierarchy/tenant violation, from a
+    // remote spawn has no ack channel to ride back on; it ends the run,
+    // like a root-thread throw.
     abort_run_locked(std::current_exception());
     return;
   }
-  child->placement = msg.placement;
-  TaskRec rec;
-  rec.body = msg.body;
-  rec.args = msg.args;
-  recs_[child] = std::move(rec);
   drain_unblocked_locked();
   pump_locked();
+}
+
+void ClusterEngine::create_registered_locked(
+    TaskNode* parent, const std::vector<AccessRequest>& requests, int body,
+    std::vector<std::byte> args, std::string name, MachineId placement) {
+  if (body < 0 || body >= BodyRegistry::instance().size())
+    throw ConfigError("spawn names unregistered body index " +
+                      std::to_string(body));
+  if (placement >= options_.workers)
+    throw ConfigError("task placement " + std::to_string(placement) +
+                      " exceeds the cluster's " +
+                      std::to_string(options_.workers) + " workers");
+  TaskNode* child =
+      serializer_.create_task(parent, requests, {}, std::move(name));
+  child->placement = placement;
+  TaskRec& rec = recs_[child];
+  rec.body = body;
+  rec.args = std::move(args);
 }
 
 void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
@@ -528,12 +529,8 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
   rec.restartable = false;
 
   if (aborting_) {
-    WithContAckMsg nak;
-    nak.task = task->id();
-    nak.ok = false;
-    nak.error_code = ErrorCode::kUnrecoverable;
-    nak.error = "run aborted";
-    slot.channel->queue(FrameType::kWithContAck, pack(nak));
+    refuse_locked(*slot.channel, PendingRpc::Kind::kWithCont, task,
+                  kInvalidObject, UnrecoverableError("run aborted"));
     return;
   }
 
@@ -566,12 +563,8 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
     try {
       must_block = serializer_.update_spec(task, rpc.requests);
     } catch (const std::exception& e) {
-      WithContAckMsg nak;
-      nak.task = task->id();
-      nak.ok = false;
-      nak.error_code = classify_error(e);
-      nak.error = e.what();
-      slot.channel->queue(FrameType::kWithContAck, pack(nak));
+      refuse_locked(*slot.channel, PendingRpc::Kind::kWithCont, task,
+                    kInvalidObject, e);
       drain_unblocked_locked();
       pump_locked();
       return;
@@ -602,40 +595,12 @@ void ClusterEngine::finish_with_cont_locked(TaskNode* task,
           {req.obj, (req.add_immediate & access::kWrite) != 0, true});
   if (!items.empty()) coherence_->fetch(w, items);
 
+  // Only the rights this conversion added ship a payload now.
   WithContAckMsg ack;
   ack.task = task->id();
-  for (const AccessRequest& req : rpc.requests) {
-    DeclRecord* r = task->find_record(req.obj);
-    ObjectShip ship;
-    ship.obj = req.obj;
-    ship.immediate = r ? r->immediate : 0;
-    ship.deferred = r ? r->deferred : 0;
-    ship.bytes = directory_.object_bytes(req.obj);
-    // Conversions to rd/wr need a current local copy; cm conversions get
-    // theirs at the accessor RPC, after the token serializes them.
-    const std::uint8_t got =
-        req.add_immediate & (r ? r->immediate : std::uint8_t{0});
-    if (got & access::kWrite) {
-      const bool current = shipped_current(req.obj, w);
-      coherence_->first_write_invalidate(w, req.obj, rec.dirtied);
-      set_shipped(req.obj, w);
-      if (!current) {
-        const auto view = directory_.data_view(req.obj);
-        ship.has_payload = true;
-        ship.payload.assign(view.begin(), view.end());
-        payload_bytes_shipped_ += ship.payload.size();
-      }
-    } else if (got & access::kRead) {
-      if (!shipped_current(req.obj, w)) {
-        const auto view = directory_.data_view(req.obj);
-        ship.has_payload = true;
-        ship.payload.assign(view.begin(), view.end());
-        payload_bytes_shipped_ += ship.payload.size();
-        set_shipped(req.obj, w);
-      }
-    }
-    ack.objects.push_back(std::move(ship));
-  }
+  for (const AccessRequest& req : rpc.requests)
+    ack.objects.push_back(
+        make_ship_locked(task, req.obj, w, req.add_immediate, rec));
   slot.channel->queue(FrameType::kWithContAck, pack(ack));
 }
 
@@ -646,25 +611,16 @@ void ClusterEngine::handle_acquire_locked(int s, const AcquireMsg& msg) {
     throw ProtocolError("acquire for a task not running on machine " +
                         std::to_string(slot.machine));
   ++rpc_acquires_;
-
-  auto nak = [&](ErrorCode code, const std::string& what) {
-    AcquireAckMsg ack;
-    ack.task = task->id();
-    ack.obj = msg.obj;
-    ack.ok = false;
-    ack.error_code = code;
-    ack.error = what;
-    slot.channel->queue(FrameType::kAcquireAck, pack(ack));
-  };
   if (aborting_) {
-    nak(ErrorCode::kUnrecoverable, "run aborted");
+    refuse_locked(*slot.channel, PendingRpc::Kind::kAcquire, task, msg.obj,
+                  UnrecoverableError("run aborted"));
     return;
   }
   bool must_block = false;
   try {
     must_block = serializer_.acquire(task, msg.obj, msg.mode);
   } catch (const std::exception& e) {
-    nak(classify_error(e), e.what());
+    refuse_locked(*slot.channel, PendingRpc::Kind::kAcquire, task, msg.obj, e);
     return;
   }
   PendingRpc rpc;
@@ -697,7 +653,6 @@ void ClusterEngine::grant_acquire_locked(TaskNode* task,
   const int s = slot_of_machine(rpc.worker);
   if (s < 0) return;  // worker died while parked
   WorkerSlot& slot = slots_[static_cast<std::size_t>(s)];
-  TaskRec& rec = recs_[task];
   const MachineId w = rpc.worker;
   const bool writes = (rpc.mode & (access::kWrite | access::kCommute)) != 0;
 
@@ -706,23 +661,8 @@ void ClusterEngine::grant_acquire_locked(TaskNode* task,
   AcquireAckMsg ack;
   ack.task = task->id();
   ack.obj = rpc.obj;
-  if (writes) {
-    const bool current = shipped_current(rpc.obj, w);
-    coherence_->first_write_invalidate(w, rpc.obj, rec.dirtied);
-    set_shipped(rpc.obj, w);
-    if (!current) {
-      const auto view = directory_.data_view(rpc.obj);
-      ack.has_payload = true;
-      ack.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ack.payload.size();
-    }
-  } else if (!shipped_current(rpc.obj, w)) {
-    const auto view = directory_.data_view(rpc.obj);
-    ack.has_payload = true;
-    ack.payload.assign(view.begin(), view.end());
-    payload_bytes_shipped_ += ack.payload.size();
-    set_shipped(rpc.obj, w);
-  }
+  ack.has_payload =
+      ship_payload_locked(rpc.obj, w, writes, recs_[task], ack.payload);
   slot.channel->queue(FrameType::kAcquireAck, pack(ack));
 }
 
@@ -911,7 +851,7 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   msg.name = task->name();
   msg.args = rec.args;  // copied: a crash re-dispatch sends them again
   for (const DeclRecord* r : task->ordered_records())
-    msg.objects.push_back(make_ship_locked(task, r->obj, w, rec));
+    msg.objects.push_back(make_ship_locked(task, r->obj, w, r->immediate, rec));
   slot.channel->queue(FrameType::kDispatch, pack(msg));
 
   slot.running = task;
@@ -924,39 +864,37 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
 }
 
 ObjectShip ClusterEngine::make_ship_locked(TaskNode* task, ObjectId obj,
-                                           MachineId w, TaskRec& rec) {
-  DeclRecord* r = task->find_record(obj);
-  JADE_ASSERT(r != nullptr);
+                                           MachineId w, std::uint8_t granted,
+                                           TaskRec& rec) {
+  const DeclRecord* r = task->find_record(obj);
   ObjectShip ship;
   ship.obj = obj;
-  ship.immediate = r->immediate;
-  ship.deferred = r->deferred;
+  ship.immediate = r ? r->immediate : 0;
+  ship.deferred = r ? r->deferred : 0;
   ship.bytes = directory_.object_bytes(obj);
-  const std::uint8_t imm = r->immediate;
   // Commute-only rights ship their payload at the accessor RPC, after the
   // token orders this task among the commuters; deferred-only rights ship
-  // at conversion.  Everything else ships now, iff the worker's copy is
-  // stale under the shipped-version protocol.
-  if (imm & access::kWrite) {
-    const bool current = shipped_current(obj, w);
-    coherence_->first_write_invalidate(w, obj, rec.dirtied);
-    set_shipped(obj, w);
-    if (!current) {
-      const auto view = directory_.data_view(obj);
-      ship.has_payload = true;
-      ship.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ship.payload.size();
-    }
-  } else if (imm & access::kRead) {
-    if (!shipped_current(obj, w)) {
-      const auto view = directory_.data_view(obj);
-      ship.has_payload = true;
-      ship.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ship.payload.size();
-      set_shipped(obj, w);
-    }
-  }
+  // at conversion.  Granted rd/wr rights ship now.
+  granted &= ship.immediate;
+  if (granted & (access::kRead | access::kWrite))
+    ship.has_payload = ship_payload_locked(
+        obj, w, (granted & access::kWrite) != 0, rec, ship.payload);
   return ship;
+}
+
+bool ClusterEngine::ship_payload_locked(ObjectId obj, MachineId w,
+                                        bool write, TaskRec& rec,
+                                        std::vector<std::byte>& payload) {
+  const bool current = shipped_current(obj, w);
+  // A write grant invalidates every other replica and opens a new data
+  // version once per attempt (booked in rec.dirtied); w's copy carries it.
+  if (write) coherence_->first_write_invalidate(w, obj, rec.dirtied);
+  set_shipped(obj, w);
+  if (current) return false;
+  const auto view = directory_.data_view(obj);
+  payload.assign(view.begin(), view.end());
+  payload_bytes_shipped_ += payload.size();
+  return true;
 }
 
 // --- data movement ----------------------------------------------------------
@@ -1023,13 +961,6 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
   std::unique_lock<std::mutex> lock(mu_);
   JADE_ASSERT_MSG(parent == serializer_.root(),
                   "coordinator-side spawn from a non-root task");
-  if (body < 0 || body >= BodyRegistry::instance().size())
-    throw ConfigError("spawn names unregistered body index " +
-                      std::to_string(body));
-  if (placement >= options_.workers)
-    throw ConfigError("task placement " + std::to_string(placement) +
-                      " exceeds the cluster's " +
-                      std::to_string(options_.workers) + " workers");
   if (throttle_.enabled() &&
       throttle_.should_throttle(serializer_.backlog())) {
     throttle_.note_suspension();
@@ -1037,17 +968,9 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
       return throttle_.backlog_drained(serializer_.backlog()) || aborting_;
     });
   }
-  if (aborting_) {
-    if (first_error_) std::rethrow_exception(first_error_);
-    throw UnrecoverableError("run aborted");
-  }
-  TaskNode* child = serializer_.create_task(parent, requests, {},
-                                            std::move(name));
-  child->placement = placement;
-  TaskRec rec;
-  rec.body = body;
-  rec.args = std::move(args);
-  recs_[child] = std::move(rec);
+  throw_if_aborting_locked();
+  create_registered_locked(parent, requests, body, std::move(args),
+                           std::move(name), placement);
   drain_unblocked_locked();
   pump_locked();
   wake_event_loop();
@@ -1070,10 +993,7 @@ void ClusterEngine::with_cont(TaskNode* task,
   if (must_block) {
     root_cv_.wait(lock, [&] { return root_unblocked_ || aborting_; });
     root_unblocked_ = false;
-    if (aborting_) {
-      if (first_error_) std::rethrow_exception(first_error_);
-      throw UnrecoverableError("run aborted");
-    }
+    throw_if_aborting_locked();
   }
 }
 
@@ -1082,10 +1002,7 @@ std::byte* ClusterEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   std::unique_lock<std::mutex> lock(mu_);
   JADE_ASSERT_MSG(task == serializer_.root(),
                   "coordinator-side accessor from a non-root task");
-  if (aborting_) {
-    if (first_error_) std::rethrow_exception(first_error_);
-    throw UnrecoverableError("run aborted");
-  }
+  throw_if_aborting_locked();
   // The root never blocks here: the serializer either admits the access
   // (no conflicting task records) or throws.
   const bool must_block = serializer_.acquire(task, obj, mode);
@@ -1170,48 +1087,39 @@ void ClusterEngine::handle_worker_death_locked(int s) {
   const std::vector<std::uint8_t> up = machine_up_mask();
   const bool any_up =
       std::find(up.begin(), up.end(), std::uint8_t{1}) != up.end();
-  for (ObjectId obj : directory_.objects_on(w)) {
-    if (directory_.sole_holder(obj, w)) {
-      directory_.drop_copy(obj, w);
-      if (any_up) {
-        directory_.restore_to(obj, pick_restore_machine(up, obj));
-        ++stats_.objects_restored;
-      }
-    } else if (directory_.owner(obj) == w) {
-      const MachineId nh = pick_rehome_machine(directory_, obj, up);
-      JADE_ASSERT_MSG(nh >= 0, "replicas of a dead owner must be live");
-      directory_.set_owner(obj, nh);
-      directory_.drop_copy(obj, w);
+  for (const RecoveryAction& a :
+       plan_object_recovery(directory_, w, up, /*stable_storage=*/true)) {
+    if (a.fate == ObjectFate::kRehomed && a.owner_moved) {
+      directory_.set_owner(a.obj, a.new_home);
       ++stats_.objects_rehomed;
-    } else {
-      directory_.drop_copy(obj, w);
+    }
+    directory_.drop_copy(a.obj, w);
+    if (a.fate == ObjectFate::kRestored && a.new_home >= 0) {
+      directory_.restore_to(a.obj, a.new_home);
+      ++stats_.objects_restored;
     }
   }
   coherence_->forget_machine(w);
   for (auto it = shipped_.begin(); it != shipped_.end();)
     it = it->first.machine == w ? shipped_.erase(it) : std::next(it);
 
-  // A pre-forked spare takes over the machine id.
-  if (options_.restart_workers) {
-    for (WorkerSlot& spare : slots_) {
-      if (spare.machine != -1 || spare.dead || spare.eof || !spare.channel ||
-          spare.channel->closed())
-        continue;
-      spare.machine = w;
-      ActivateMsg act;
-      act.machine = w;
-      act.machines = options_.workers;
-      act.heartbeat_interval = options_.heartbeat_interval;
-      spare.channel->queue(FrameType::kActivate, pack(act));
-      spare.channel->flush();
-      transport_.set_channel(w, spare.channel.get());
-      detector_->heartbeat_received(w + 1, wall_now());
-      ++workers_respawned_;
-      if (tracer_.enabled())
-        tracer_.instant_at(wall_now(), obs::Subsystem::kFt, "worker.respawn",
-                           static_cast<std::uint64_t>(spare.pid), w);
-      break;
-    }
+  // A pre-forked spare, if one is left, takes over the machine id.
+  for (WorkerSlot& spare : slots_) {
+    if (spare.machine != -1 || spare.dead || spare.eof || !spare.channel ||
+        spare.channel->closed())
+      continue;
+    spare.machine = w;
+    spare.channel->queue(FrameType::kActivate,
+                         pack(ActivateMsg{w, options_.workers,
+                                          options_.heartbeat_interval}));
+    spare.channel->flush();
+    transport_.set_channel(w, spare.channel.get());
+    detector_->heartbeat_received(w + 1, wall_now());
+    ++workers_respawned_;
+    if (tracer_.enabled())
+      tracer_.instant_at(wall_now(), obs::Subsystem::kFt, "worker.respawn",
+                         static_cast<std::uint64_t>(spare.pid), w);
+    break;
   }
 
   if (!any_up && slot_of_machine(w) < 0 && !aborting_ &&
@@ -1234,28 +1142,38 @@ void ClusterEngine::abort_run_locked(std::exception_ptr error) {
   for (auto& [task, rpc] : pending_) {
     const int s = slot_of_machine(rpc.worker);
     if (s < 0) continue;
-    Channel& ch = *slots_[static_cast<std::size_t>(s)].channel;
-    if (rpc.kind == PendingRpc::Kind::kAcquire) {
-      AcquireAckMsg nak;
-      nak.task = task->id();
-      nak.obj = rpc.obj;
-      nak.ok = false;
-      nak.error_code = ErrorCode::kUnrecoverable;
-      nak.error = "run aborted";
-      ch.queue(FrameType::kAcquireAck, pack(nak));
-    } else {
-      WithContAckMsg nak;
-      nak.task = task->id();
-      nak.ok = false;
-      nak.error_code = ErrorCode::kUnrecoverable;
-      nak.error = "run aborted";
-      ch.queue(FrameType::kWithContAck, pack(nak));
-    }
+    refuse_locked(*slots_[static_cast<std::size_t>(s)].channel, rpc.kind, task,
+                  rpc.obj, UnrecoverableError("run aborted"));
     tokens_.remove_waiter(task);
   }
   pending_.clear();
   root_cv_.notify_all();
   wake_event_loop();
+}
+
+void ClusterEngine::throw_if_aborting_locked() const {
+  if (!aborting_) return;
+  if (first_error_) std::rethrow_exception(first_error_);
+  throw UnrecoverableError("run aborted");
+}
+
+void ClusterEngine::refuse_locked(Channel& ch, PendingRpc::Kind kind,
+                                  TaskNode* task, ObjectId obj,
+                                  const std::exception& why) {
+  auto refuse = [&](auto nak, FrameType type) {
+    nak.task = task->id();
+    nak.ok = false;
+    nak.error_code = classify_error(why);
+    nak.error = why.what();
+    ch.queue(type, pack(nak));
+  };
+  if (kind == PendingRpc::Kind::kAcquire) {
+    AcquireAckMsg nak;
+    nak.obj = obj;
+    refuse(std::move(nak), FrameType::kAcquireAck);
+  } else {
+    refuse(WithContAckMsg{}, FrameType::kWithContAck);
+  }
 }
 
 // --- introspection ----------------------------------------------------------

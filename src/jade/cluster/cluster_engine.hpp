@@ -162,6 +162,13 @@ class ClusterEngine : public Engine,
   void handle_done_locked(int slot, const DoneMsg& msg);
   void handle_task_error_locked(int slot, const TaskErrorMsg& msg);
 
+  /// Creates a registered-body task for the root or a worker, after
+  /// checking its body index and placement (ConfigError otherwise).
+  void create_registered_locked(TaskNode* parent,
+                                const std::vector<AccessRequest>& requests,
+                                int body, std::vector<std::byte> args,
+                                std::string name, MachineId placement);
+
   // --- dispatch / completion (mu_ held) ------------------------------------
   void pump_locked();
   void dispatch_locked(TaskNode* task, int slot);
@@ -174,6 +181,10 @@ class ClusterEngine : public Engine,
   void continue_acquire_locked(TaskNode* task, PendingRpc& rpc);
   void grant_acquire_locked(TaskNode* task, const PendingRpc& rpc);
   void finish_with_cont_locked(TaskNode* task, const PendingRpc& rpc);
+  /// Queues the failed AcquireAck or WithContAck (per `kind`) carrying
+  /// `why` across the process boundary.
+  void refuse_locked(Channel& ch, PendingRpc::Kind kind, TaskNode* task,
+                     ObjectId obj, const std::exception& why);
 
   // --- data movement (mu_ held) --------------------------------------------
   bool shipped_current(ObjectId obj, MachineId m) const;
@@ -184,13 +195,22 @@ class ClusterEngine : public Engine,
                               MachineId from);
   /// Root-side write acquisition: invalidate replicas, notify, dirty.
   void root_write_locked(ObjectId obj);
-  /// Attaches rights + (if stale on `w`) payload for one object.
+  /// The one payload-ship rule: a grant to `w` carries `obj`'s canonical
+  /// bytes iff `w`'s shipped version is stale (returns true and fills
+  /// `payload`).  A write grant first invalidates the other replicas.
+  bool ship_payload_locked(ObjectId obj, MachineId w, bool write,
+                           TaskRec& rec, std::vector<std::byte>& payload);
+  /// `task`'s current rights on `obj`, with the payload shipped (by
+  /// ship_payload_locked) when the `granted` immediate rights read or write.
   ObjectShip make_ship_locked(TaskNode* task, ObjectId obj, MachineId w,
-                              TaskRec& rec);
+                              std::uint8_t granted, TaskRec& rec);
 
   // --- failure handling (mu_ held) -----------------------------------------
   void handle_worker_death_locked(int slot);
   void abort_run_locked(std::exception_ptr error);
+  /// Root-side: rethrows the run's first error (or UnrecoverableError)
+  /// once the run is aborting.
+  void throw_if_aborting_locked() const;
 
   int slot_of_machine(MachineId m) const;
   std::vector<std::uint8_t> machine_up_mask() const;

@@ -1,7 +1,5 @@
 #include "jade/cluster/frame.hpp"
 
-#include <cstring>
-
 namespace jade::cluster {
 
 std::vector<std::byte> encode_frame(FrameType type,
@@ -81,279 +79,5 @@ void rethrow_error(ErrorCode code, const std::string& what) {
   }
   throw JadeError(what);
 }
-
-// --- encode/decode ---------------------------------------------------------
-
-namespace {
-
-void put_payload(WireWriter& w, bool has, const std::vector<std::byte>& p) {
-  w.put_u8(has ? 1 : 0);
-  if (has) w.put_bytes(p);
-}
-
-void get_payload(WireReader& r, bool& has, std::vector<std::byte>& p) {
-  has = r.get_u8() != 0;
-  if (has) p = r.get_bytes();
-}
-
-/// Pre-allocation guard for wire-carried element counts: a garbage count
-/// must hit the truncation check, not a giant reserve().  Every element
-/// consumes at least one byte, so `remaining` bounds any honest count.
-std::uint32_t checked_count(const WireReader& r, std::uint32_t n) {
-  if (n > r.remaining())
-    throw ProtocolError("cluster message count " + std::to_string(n) +
-                        " exceeds remaining payload");
-  return n;
-}
-
-}  // namespace
-
-void HelloMsg::encode(WireWriter& w) const { w.put_i64(pid); }
-HelloMsg HelloMsg::decode(WireReader& r) { return {r.get_i64()}; }
-
-void ActivateMsg::encode(WireWriter& w) const {
-  w.put_i64(machine);
-  w.put_i64(machines);
-  w.put_f64(heartbeat_interval);
-}
-ActivateMsg ActivateMsg::decode(WireReader& r) {
-  ActivateMsg m;
-  m.machine = static_cast<MachineId>(r.get_i64());
-  m.machines = static_cast<std::int32_t>(r.get_i64());
-  m.heartbeat_interval = r.get_f64();
-  return m;
-}
-
-void ObjectShip::encode(WireWriter& w) const {
-  w.put_u64(obj);
-  w.put_u8(immediate);
-  w.put_u8(deferred);
-  w.put_u64(bytes);
-  put_payload(w, has_payload, payload);
-}
-ObjectShip ObjectShip::decode(WireReader& r) {
-  ObjectShip s;
-  s.obj = r.get_u64();
-  s.immediate = r.get_u8();
-  s.deferred = r.get_u8();
-  s.bytes = r.get_u64();
-  get_payload(r, s.has_payload, s.payload);
-  return s;
-}
-
-void DispatchMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_i64(body);
-  w.put_string(name);
-  w.put_bytes(args);
-  w.put_u32(static_cast<std::uint32_t>(objects.size()));
-  for (const ObjectShip& s : objects) s.encode(w);
-}
-DispatchMsg DispatchMsg::decode(WireReader& r) {
-  DispatchMsg m;
-  m.task = r.get_u64();
-  m.body = static_cast<std::int32_t>(r.get_i64());
-  m.name = r.get_string();
-  m.args = r.get_bytes();
-  const std::uint32_t n = checked_count(r, r.get_u32());
-  m.objects.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    m.objects.push_back(ObjectShip::decode(r));
-  return m;
-}
-
-void ReqMsg::encode(WireWriter& w) const {
-  w.put_u64(obj);
-  w.put_u8(add_immediate);
-  w.put_u8(add_deferred);
-  w.put_u8(remove);
-}
-ReqMsg ReqMsg::decode(WireReader& r) {
-  ReqMsg m;
-  m.obj = r.get_u64();
-  m.add_immediate = r.get_u8();
-  m.add_deferred = r.get_u8();
-  m.remove = r.get_u8();
-  return m;
-}
-
-void SpawnMsg::encode(WireWriter& w) const {
-  w.put_u64(parent);
-  w.put_i64(body);
-  w.put_string(name);
-  w.put_i64(placement);
-  w.put_bytes(args);
-  w.put_u32(static_cast<std::uint32_t>(requests.size()));
-  for (const ReqMsg& q : requests) q.encode(w);
-}
-SpawnMsg SpawnMsg::decode(WireReader& r) {
-  SpawnMsg m;
-  m.parent = r.get_u64();
-  m.body = static_cast<std::int32_t>(r.get_i64());
-  m.name = r.get_string();
-  m.placement = static_cast<MachineId>(r.get_i64());
-  m.args = r.get_bytes();
-  const std::uint32_t n = checked_count(r, r.get_u32());
-  m.requests.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.requests.push_back(ReqMsg::decode(r));
-  return m;
-}
-
-void WithContItem::encode(WireWriter& w) const {
-  req.encode(w);
-  put_payload(w, has_payload, payload);
-}
-WithContItem WithContItem::decode(WireReader& r) {
-  WithContItem it;
-  it.req = ReqMsg::decode(r);
-  get_payload(r, it.has_payload, it.payload);
-  return it;
-}
-
-void WithContMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_u32(static_cast<std::uint32_t>(items.size()));
-  for (const WithContItem& it : items) it.encode(w);
-}
-WithContMsg WithContMsg::decode(WireReader& r) {
-  WithContMsg m;
-  m.task = r.get_u64();
-  const std::uint32_t n = checked_count(r, r.get_u32());
-  m.items.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    m.items.push_back(WithContItem::decode(r));
-  return m;
-}
-
-void WithContAckMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_u8(ok ? 1 : 0);
-  w.put_u8(static_cast<std::uint8_t>(error_code));
-  w.put_string(error);
-  w.put_u32(static_cast<std::uint32_t>(objects.size()));
-  for (const ObjectShip& s : objects) s.encode(w);
-}
-WithContAckMsg WithContAckMsg::decode(WireReader& r) {
-  WithContAckMsg m;
-  m.task = r.get_u64();
-  m.ok = r.get_u8() != 0;
-  m.error_code = static_cast<ErrorCode>(r.get_u8());
-  m.error = r.get_string();
-  const std::uint32_t n = checked_count(r, r.get_u32());
-  m.objects.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    m.objects.push_back(ObjectShip::decode(r));
-  return m;
-}
-
-void AcquireMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_u64(obj);
-  w.put_u8(mode);
-}
-AcquireMsg AcquireMsg::decode(WireReader& r) {
-  AcquireMsg m;
-  m.task = r.get_u64();
-  m.obj = r.get_u64();
-  m.mode = r.get_u8();
-  return m;
-}
-
-void AcquireAckMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_u64(obj);
-  w.put_u8(ok ? 1 : 0);
-  w.put_u8(static_cast<std::uint8_t>(error_code));
-  w.put_string(error);
-  put_payload(w, has_payload, payload);
-}
-AcquireAckMsg AcquireAckMsg::decode(WireReader& r) {
-  AcquireAckMsg m;
-  m.task = r.get_u64();
-  m.obj = r.get_u64();
-  m.ok = r.get_u8() != 0;
-  m.error_code = static_cast<ErrorCode>(r.get_u8());
-  m.error = r.get_string();
-  get_payload(r, m.has_payload, m.payload);
-  return m;
-}
-
-void DoneMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_f64(charged);
-  w.put_u32(static_cast<std::uint32_t>(writes.size()));
-  for (const Write& wr : writes) {
-    w.put_u64(wr.obj);
-    w.put_bytes(wr.payload);
-  }
-}
-DoneMsg DoneMsg::decode(WireReader& r) {
-  DoneMsg m;
-  m.task = r.get_u64();
-  m.charged = r.get_f64();
-  const std::uint32_t n = checked_count(r, r.get_u32());
-  m.writes.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Write wr;
-    wr.obj = r.get_u64();
-    wr.payload = r.get_bytes();
-    m.writes.push_back(std::move(wr));
-  }
-  return m;
-}
-
-void TaskErrorMsg::encode(WireWriter& w) const {
-  w.put_u64(task);
-  w.put_u8(static_cast<std::uint8_t>(code));
-  w.put_string(what);
-}
-TaskErrorMsg TaskErrorMsg::decode(WireReader& r) {
-  TaskErrorMsg m;
-  m.task = r.get_u64();
-  m.code = static_cast<ErrorCode>(r.get_u8());
-  m.what = r.get_string();
-  return m;
-}
-
-void HeartbeatMsg::encode(WireWriter& w) const {
-  w.put_i64(machine);
-  w.put_u64(seq);
-}
-HeartbeatMsg HeartbeatMsg::decode(WireReader& r) {
-  HeartbeatMsg m;
-  m.machine = static_cast<MachineId>(r.get_i64());
-  m.seq = r.get_u64();
-  return m;
-}
-
-void CoherenceMsg::encode(WireWriter& w) const {
-  w.put_i64(from);
-  w.put_i64(to);
-  w.put_u64(bytes);
-}
-CoherenceMsg CoherenceMsg::decode(WireReader& r) {
-  CoherenceMsg m;
-  m.from = static_cast<MachineId>(r.get_i64());
-  m.to = static_cast<MachineId>(r.get_i64());
-  m.bytes = r.get_u64();
-  return m;
-}
-
-void ObjFetchMsg::encode(WireWriter& w) const { w.put_u64(obj); }
-ObjFetchMsg ObjFetchMsg::decode(WireReader& r) { return {r.get_u64()}; }
-
-void ObjDataMsg::encode(WireWriter& w) const {
-  w.put_u64(obj);
-  w.put_bytes(payload);
-}
-ObjDataMsg ObjDataMsg::decode(WireReader& r) {
-  ObjDataMsg m;
-  m.obj = r.get_u64();
-  m.payload = r.get_bytes();
-  return m;
-}
-
-void ShutdownMsg::encode(WireWriter&) const {}
-ShutdownMsg ShutdownMsg::decode(WireReader&) { return {}; }
 
 }  // namespace jade::cluster

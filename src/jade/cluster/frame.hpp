@@ -15,14 +15,18 @@
 // WireReader format the simulated transport already speaks (types/wire.hpp).
 // Decoding is defensive: a frame from a crashing worker may be garbage, so
 // every decode failure — bad magic, unknown version or type, truncated or
-// oversized payload, trailing bytes — surfaces as ProtocolError, never UB.
+// oversized payload, out-of-range field, trailing bytes — surfaces as
+// ProtocolError, never UB.
 // (WireReader itself throws InternalError on truncation because in-process
 // messages are runtime-generated; unpack() translates, because these bytes
 // crossed a process boundary.)
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "jade/core/object.hpp"
@@ -73,9 +77,20 @@ std::vector<std::byte> encode_frame(FrameType type,
 std::uint32_t decode_frame_header(const std::byte* buf, FrameType& type);
 
 // --- message payloads ------------------------------------------------------
-// Every message has `void encode(WireWriter&) const` and
-// `static X decode(WireReader&)`.  pack()/unpack() below add the
-// whole-buffer discipline (unpack requires the reader to be fully consumed).
+// Every message states its layout once, as `static void fields(f, m)`
+// naming its members in wire order.  pack()/unpack() below walk that list
+// with one encoder and one decoder, so the two directions cannot drift:
+//
+//   signed integer  i64 (decode rejects values outside the member's type)
+//   uint8 / uint64  u8 / u64          bool, enum   u8
+//   double          f64               string       u32 length + bytes
+//   byte vector     u32 length + bytes
+//   other vector    u32 count + each element's own fields
+//   nested message  its own fields, inline
+//
+// A member behind `if (m.has_payload)` is present only when the flag
+// before it is set.  unpack() also requires the payload to be fully
+// consumed.
 
 /// Error taxonomy carried across the process boundary: the worker cannot
 /// ship an exception object, so acks carry a code + message and the peer
@@ -101,16 +116,16 @@ ErrorCode classify_error(const std::exception& e);
 
 struct HelloMsg {
   std::int64_t pid = 0;
-  void encode(WireWriter& w) const;
-  static HelloMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.pid); }
 };
 
 struct ActivateMsg {
   MachineId machine = -1;
   std::int32_t machines = 0;  ///< cluster size (active workers)
   double heartbeat_interval = 0.025;  ///< wall seconds between heartbeats
-  void encode(WireWriter& w) const;
-  static ActivateMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.machine, m.machines, m.heartbeat_interval);
+  }
 };
 
 /// One object's rights + (optionally) its current payload, as shipped with
@@ -122,8 +137,10 @@ struct ObjectShip {
   std::uint64_t bytes = 0;  ///< object size (payload may be elided)
   bool has_payload = false;
   std::vector<std::byte> payload;
-  void encode(WireWriter& w) const;
-  static ObjectShip decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.obj, m.immediate, m.deferred, m.bytes, m.has_payload);
+    if (m.has_payload) f(m.payload);
+  }
 };
 
 struct DispatchMsg {
@@ -132,8 +149,9 @@ struct DispatchMsg {
   std::string name;
   std::vector<std::byte> args;
   std::vector<ObjectShip> objects;
-  void encode(WireWriter& w) const;
-  static DispatchMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.task, m.body, m.name, m.args, m.objects);
+  }
 };
 
 /// One object's requested rights in a spawn or with-cont.
@@ -142,8 +160,9 @@ struct ReqMsg {
   std::uint8_t add_immediate = 0;
   std::uint8_t add_deferred = 0;
   std::uint8_t remove = 0;
-  void encode(WireWriter& w) const;
-  static ReqMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.obj, m.add_immediate, m.add_deferred, m.remove);
+  }
 };
 
 struct SpawnMsg {
@@ -153,8 +172,9 @@ struct SpawnMsg {
   MachineId placement = -1;
   std::vector<std::byte> args;
   std::vector<ReqMsg> requests;
-  void encode(WireWriter& w) const;
-  static SpawnMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.parent, m.body, m.name, m.placement, m.args, m.requests);
+  }
 };
 
 /// A with-cont request; retire requests for objects the worker dirtied
@@ -164,15 +184,16 @@ struct WithContItem {
   ReqMsg req;
   bool has_payload = false;
   std::vector<std::byte> payload;
-  void encode(WireWriter& w) const;
-  static WithContItem decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.req, m.has_payload);
+    if (m.has_payload) f(m.payload);
+  }
 };
 
 struct WithContMsg {
   std::uint64_t task = 0;
   std::vector<WithContItem> items;
-  void encode(WireWriter& w) const;
-  static WithContMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.task, m.items); }
 };
 
 struct WithContAckMsg {
@@ -181,16 +202,16 @@ struct WithContAckMsg {
   ErrorCode error_code = ErrorCode::kGeneric;
   std::string error;
   std::vector<ObjectShip> objects;  ///< post-conversion rights (+ payloads)
-  void encode(WireWriter& w) const;
-  static WithContAckMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.task, m.ok, m.error_code, m.error, m.objects);
+  }
 };
 
 struct AcquireMsg {
   std::uint64_t task = 0;
   ObjectId obj = kInvalidObject;
   std::uint8_t mode = 0;
-  void encode(WireWriter& w) const;
-  static AcquireMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.task, m.obj, m.mode); }
 };
 
 struct AcquireAckMsg {
@@ -201,8 +222,10 @@ struct AcquireAckMsg {
   std::string error;
   bool has_payload = false;
   std::vector<std::byte> payload;
-  void encode(WireWriter& w) const;
-  static AcquireAckMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) {
+    f(m.task, m.obj, m.ok, m.error_code, m.error, m.has_payload);
+    if (m.has_payload) f(m.payload);
+  }
 };
 
 /// Task completion: final bytes of every object the task still holds write
@@ -211,27 +234,25 @@ struct DoneMsg {
   struct Write {
     ObjectId obj = kInvalidObject;
     std::vector<std::byte> payload;
+    static void fields(auto& f, auto& m) { f(m.obj, m.payload); }
   };
   std::uint64_t task = 0;
   double charged = 0;
   std::vector<Write> writes;
-  void encode(WireWriter& w) const;
-  static DoneMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.task, m.charged, m.writes); }
 };
 
 struct TaskErrorMsg {
   std::uint64_t task = 0;
   ErrorCode code = ErrorCode::kGeneric;
   std::string what;
-  void encode(WireWriter& w) const;
-  static TaskErrorMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.task, m.code, m.what); }
 };
 
 struct HeartbeatMsg {
   MachineId machine = -1;
   std::uint64_t seq = 0;
-  void encode(WireWriter& w) const;
-  static HeartbeatMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.machine, m.seq); }
 };
 
 /// Coherence control traffic as seen by the socket transport: the transport
@@ -241,48 +262,148 @@ struct CoherenceMsg {
   MachineId from = -1;
   MachineId to = -1;
   std::uint64_t bytes = 0;
-  void encode(WireWriter& w) const;
-  static CoherenceMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.from, m.to, m.bytes); }
 };
 
 struct ObjFetchMsg {
   ObjectId obj = kInvalidObject;
-  void encode(WireWriter& w) const;
-  static ObjFetchMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.obj); }
 };
 
 struct ObjDataMsg {
   ObjectId obj = kInvalidObject;
   std::vector<std::byte> payload;
-  void encode(WireWriter& w) const;
-  static ObjDataMsg decode(WireReader& r);
+  static void fields(auto& f, auto& m) { f(m.obj, m.payload); }
 };
 
 struct ShutdownMsg {
-  void encode(WireWriter& w) const;
-  static ShutdownMsg decode(WireReader& r);
+  static void fields(auto&, auto&) {}
 };
+
+namespace detail {
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// The one encoder: writes each field of a message's list in order.
+class FieldWriter {
+ public:
+  template <typename... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+  std::vector<std::byte> take() { return w_.take(); }
+
+ private:
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      w_.put_u8(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      static_assert(sizeof(T) == 1, "wire enums are one byte");
+      w_.put_u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      w_.put_u8(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      w_.put_u64(v);
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      w_.put_i64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w_.put_f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.put_string(v);
+    } else if constexpr (std::is_same_v<T, std::vector<std::byte>>) {
+      w_.put_bytes(v);
+    } else if constexpr (kIsVector<T>) {
+      w_.put_u32(static_cast<std::uint32_t>(v.size()));
+      for (const auto& e : v) put(e);
+    } else {
+      T::fields(*this, v);
+    }
+  }
+
+  WireWriter w_;
+};
+
+/// The one decoder, mirroring FieldWriter.  Truncation surfaces as the
+/// WireReader's InternalError, which unpack() translates.
+class FieldReader {
+ public:
+  explicit FieldReader(std::span<const std::byte> data) : r_(data) {}
+
+  template <typename... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+  std::size_t remaining() const { return r_.remaining(); }
+
+ private:
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.get_u8() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(r_.get_u8());
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      v = r_.get_u8();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      v = r_.get_u64();
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      const std::int64_t x = r_.get_i64();
+      if (x < std::numeric_limits<T>::min() ||
+          x > std::numeric_limits<T>::max())
+        throw ProtocolError("cluster message field value " +
+                            std::to_string(x) + " is out of range");
+      v = static_cast<T>(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = r_.get_f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r_.get_string();
+    } else if constexpr (std::is_same_v<T, std::vector<std::byte>>) {
+      v = r_.get_bytes();
+    } else if constexpr (kIsVector<T>) {
+      // Every element takes at least one byte, so an honest count never
+      // exceeds what is left: a garbage count fails here, before reserve().
+      const std::uint32_t n = r_.get_u32();
+      if (n > r_.remaining())
+        throw ProtocolError("cluster message count " + std::to_string(n) +
+                            " exceeds remaining payload");
+      v.clear();
+      v.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) get(v.emplace_back());
+    } else {
+      T::fields(*this, v);
+    }
+  }
+
+  WireReader r_;
+};
+
+}  // namespace detail
 
 /// Encodes a message into a payload buffer.
 template <typename M>
 std::vector<std::byte> pack(const M& msg) {
-  WireWriter w;
-  msg.encode(w);
+  detail::FieldWriter w;
+  M::fields(w, msg);
   return w.take();
 }
 
-/// Decodes a message from a frame payload.  Truncation and trailing garbage
-/// both raise ProtocolError: a frame must contain exactly one message.
+/// Decodes a message from a frame payload.  Truncation, out-of-range
+/// fields and trailing garbage all raise ProtocolError: a frame must
+/// contain exactly one well-formed message.
 template <typename M>
 M unpack(const std::vector<std::byte>& payload) {
-  WireReader r(payload);
+  detail::FieldReader r(payload);
   M msg;
   try {
-    msg = M::decode(r);
+    M::fields(r, msg);
   } catch (const InternalError& e) {
     throw ProtocolError(std::string("malformed cluster message: ") + e.what());
   }
-  if (!r.done())
+  if (r.remaining() != 0)
     throw ProtocolError("cluster message has " +
                         std::to_string(r.remaining()) + " trailing bytes");
   return msg;

@@ -15,15 +15,13 @@ struct Options {
   /// Pre-forked idle processes kept in reserve; when a worker dies one is
   /// activated under the dead worker's machine id.  Forking after the
   /// coordinator has started threads is not safe, so spares must exist
-  /// up front.
+  /// up front.  With none left, the dead machine id stays dark and its
+  /// tasks re-run elsewhere.
   int spares = 1;
   /// Wall-clock seconds between worker heartbeats to the coordinator.
   SimTime heartbeat_interval = 0.025;
   /// Heartbeat intervals a worker may miss before the detector suspects it.
   int miss_threshold = 4;
-  /// Replace a dead worker with a spare (when one is available).  Off, the
-  /// dead machine id stays dark and its tasks re-run elsewhere.
-  bool restart_workers = true;
 };
 
 }  // namespace jade::cluster

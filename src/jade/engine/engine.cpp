@@ -52,7 +52,6 @@ void Engine::enable_tracing(const ObsConfig& config) {
   }
   recorder_ = std::make_unique<obs::TraceRecorder>(config.trace_capacity);
   tracer_.attach(recorder_.get(), [this] { return trace_now(); });
-  tracer_.set_wall_clock(config.wall_clock);
 }
 
 void Engine::publish_runtime_stats() {

@@ -41,9 +41,6 @@ struct ObsConfig {
   /// Ring-buffer capacity; when full the oldest events are dropped (and
   /// counted — the exporter reports the loss).
   std::size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
-  /// Stamp events with wall-clock time too.  Off by default: wall clocks
-  /// make SimEngine exports non-deterministic.
-  bool wall_clock = false;
 };
 
 // RuntimeStats moved to jade/core/stats.hpp so the runtime services below

@@ -497,7 +497,7 @@ std::byte* SimEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   // residence (cheap when it is still here).
   if (!cluster_.shared_memory()) {
     const bool exclusive = (mode & kExclusiveBits) != 0;
-    park_until_fetched(t, transfer_object(t, obj, exclusive));
+    park_until_fetched(t, fetch_objects(t, {{obj, exclusive, true}}));
   }
   // Snapshot before handing out a mutable pointer: if a crash kills this
   // attempt mid-write, the pre-image is restored and the re-execution sees
@@ -540,29 +540,6 @@ void SimEngine::ensure_recoverable(ObjectId obj) const {
       "') is unrecoverable: its only copy died with machine " +
       std::to_string(directory_.owner(obj)) +
       " and stable storage is disabled");
-}
-
-SimTime SimEngine::transfer_object(SimTask& t, ObjectId obj, bool exclusive) {
-  if (cluster_.shared_memory()) return sim_.now();
-
-  if (ft_enabled()) {
-    // The owner may be dead (crashed but not yet detected/recovered).  A
-    // local replica satisfies a read; anything else waits for the recovery
-    // protocol to re-home or restore the object — or learns it is gone.
-    while (true) {
-      ensure_recoverable(obj);
-      const MachineId owner = directory_.owner(obj);
-      if (ft_->injector().machine_up(owner)) break;
-      if (!exclusive && directory_.present(obj, t.machine)) break;
-      JADE_TRACE("t=" << sim_.now() << " " << t.node->name()
-                      << " waits for recovery of obj " << obj
-                      << " (owner " << owner << " is down)");
-      ft_->add_recovery_waiter(owner, t.node);
-      park_inactive(t, Wait::kRecovery);
-    }
-  }
-
-  return coherence_->transfer(obj, t.machine, exclusive);
 }
 
 SimTime SimEngine::fetch_objects(SimTask& t, std::vector<FetchItem> items) {

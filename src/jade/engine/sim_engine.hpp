@@ -212,15 +212,11 @@ class SimEngine : public Engine,
   /// parking the current task process until done.
   void occupy(SimTask& t, SimTime& lane_free_until, SimTime seconds);
 
-  /// Single-object transfer to `t.machine` via the coherence protocol.
-  /// Immediate (returns now) on shared-memory platforms.  Under fault
-  /// injection, parks `t` while the object's owner is crashed but not yet
-  /// recovered, and throws UnrecoverableError for lost objects.
-  SimTime transfer_object(SimTask& t, ObjectId obj, bool exclusive);
-
   /// Whole-set fetch to `t.machine` via the coherence protocol (which
-  /// batches per remote owner); same platform/fault handling as
-  /// transfer_object.
+  /// batches per remote owner).  Immediate (returns now) on shared-memory
+  /// platforms.  Under fault injection, parks `t` while a blocking item's
+  /// owner is crashed but not yet recovered (a local replica satisfies a
+  /// read), and throws UnrecoverableError for lost objects.
   SimTime fetch_objects(SimTask& t, std::vector<FetchItem> items);
 
   /// Parks the current task process until `ready_at` (no-op if reached).

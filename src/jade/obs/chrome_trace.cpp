@@ -55,8 +55,7 @@ const char* phase_of(EventKind kind) {
   return "i";
 }
 
-void write_event(std::ostream& os, const TraceEvent& ev,
-                 const ChromeTraceOptions& options) {
+void write_event(std::ostream& os, const TraceEvent& ev) {
   const int tid = ev.machine + 1;  // -1 (no machine) -> tid 0, the host track
   os << "{\"ph\":\"" << phase_of(ev.kind) << "\",\"cat\":\""
      << subsystem_name(ev.cat) << "\",\"name\":\"" << json_escape(ev.name)
@@ -80,8 +79,6 @@ void write_event(std::ostream& os, const TraceEvent& ev,
     arg("\"detail\":\"" + json_escape(ev.detail) + "\"");
   if (ev.kind == EventKind::kInstant || ev.kind == EventKind::kSpanBegin)
     arg("\"id\":" + std::to_string(ev.id));
-  if (options.include_wall_clock && ev.wall_ms != 0)
-    arg("\"wall_ms\":" + format_double(ev.wall_ms, 3));
   os << "}}";
 }
 
@@ -113,7 +110,7 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
   }
   for (const TraceEvent* ev : ordered) {
     os << ",\n";
-    write_event(os, *ev, options);
+    write_event(os, *ev);
   }
   os << "\n]}\n";
 }

@@ -29,9 +29,6 @@ namespace jade::obs {
 
 struct ChromeTraceOptions {
   std::string process_name = "jade";
-  /// Emit each event's wall_ms as an arg (non-deterministic; off by
-  /// default).  Only meaningful when the tracer captured wall clocks.
-  bool include_wall_clock = false;
 };
 
 void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,

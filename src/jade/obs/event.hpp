@@ -52,9 +52,6 @@ struct TraceEvent {
   MachineId machine = -1;
   /// Virtual time (SimEngine) or the engine's logical/wall clock, seconds.
   SimTime ts = 0;
-  /// Wall-clock milliseconds since the tracer attached; 0 unless wall-clock
-  /// capture is enabled (it is off by default — it breaks determinism).
-  double wall_ms = 0;
   /// Counter value, span payload (e.g. charged work, bytes).
   double value = 0;
   /// Free-form detail (task name, placement explanation).  May be empty.

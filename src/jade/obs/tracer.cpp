@@ -5,7 +5,6 @@ namespace jade::obs {
 void Tracer::attach(TraceSink* sink, Clock clock) {
   sink_ = sink;
   clock_ = std::move(clock);
-  epoch_ = std::chrono::steady_clock::now();
 }
 
 void Tracer::emit(EventKind kind, Subsystem cat, const char* name,
@@ -20,11 +19,6 @@ void Tracer::emit(EventKind kind, Subsystem cat, const char* name,
   ev.ts = ts;
   ev.value = value;
   ev.detail = std::move(detail);
-  if (wall_) {
-    ev.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - epoch_)
-                     .count();
-  }
   sink_->record(std::move(ev));
 }
 

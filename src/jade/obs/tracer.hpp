@@ -13,7 +13,6 @@
 // arrival's future virtual time.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <string>
 #include <utility>
@@ -30,11 +29,6 @@ class Tracer {
   /// `ts` of events emitted without an explicit timestamp.
   void attach(TraceSink* sink, Clock clock);
   void detach() { sink_ = nullptr; }
-
-  /// Also stamp events with wall-clock milliseconds since attach.  Off by
-  /// default: wall time makes exports non-deterministic.
-  void set_wall_clock(bool on) { wall_ = on; }
-  bool wall_clock() const { return wall_; }
 
   bool enabled() const { return sink_ != nullptr; }
   TraceSink* sink() { return sink_; }
@@ -88,8 +82,6 @@ class Tracer {
 
   TraceSink* sink_ = nullptr;
   Clock clock_;
-  bool wall_ = false;
-  std::chrono::steady_clock::time_point epoch_{};
 };
 
 }  // namespace jade::obs

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 
 #include "jade/cluster/frame.hpp"
 #include "jade/support/error.hpp"
@@ -270,7 +272,135 @@ TEST(ClusterMessages, ObjFetchObjDataShutdown) {
   EXPECT_NO_THROW(round_trip(ShutdownMsg{}));
 }
 
+// --- golden bytes -----------------------------------------------------------
+
+std::string hex(const std::vector<std::byte>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : bytes) {
+    out += kDigits[std::to_integer<int>(b) >> 4];
+    out += kDigits[std::to_integer<int>(b) & 0xF];
+  }
+  return out;
+}
+
+// One instance of each of the 18 message types, packed and compared with
+// its wire layout as hex.  The round-trip tests above pass for any encoder
+// and decoder that change together; a peer built from another commit still
+// expects these bytes.
+TEST(ClusterMessages, GoldenBytes) {
+  const ObjectShip shipped{5, 3, 4, 4, true, bytes_of({1, 2, 3, 4})};
+  const ObjectShip elided{6, 1, 0, 1024, false, {}};
+  const ReqMsg req{11, 1, 2, 0};
+  const WithContItem retire{{4, 0, 0, 2}, true, bytes_of({5, 6})};
+  const WithContItem convert{{8, 2, 0, 0}, false, {}};
+  const struct {
+    const char* name;
+    std::vector<std::byte> bytes;
+    const char* want;
+  } cases[] = {
+      {"Hello", pack(HelloMsg{-4242}), "6eefffffffffffff"},
+      {"Activate", pack(ActivateMsg{3, 8, 0.025}),
+       "030000000000000008000000000000009a9999999999993f"},
+      {"ObjectShip", pack(shipped),
+       "050000000000000003040400000000000000010400000001020304"},
+      {"ObjectShip/elided", pack(elided),
+       "06000000000000000100000400000000000000"},
+      {"Dispatch",
+       pack(DispatchMsg{42, 7, "col", bytes_of({9, 8}), {shipped, elided}}),
+       "2a00000000000000070000000000000003000000636f6c020000000908020000000500"
+       "0000000000000304040000000000000001040000000102030406000000000000000100"
+       "000400000000000000"},
+      {"Req", pack(req), "0b00000000000000010200"},
+      {"Spawn",
+       pack(SpawnMsg{5, 2, "child", -1, bytes_of({0xAA}),
+                     {req, {12, 0, 4, 1}}}),
+       "05000000000000000200000000000000050000006368696c64ffffffffffffffff0100"
+       "0000aa020000000b000000000000000102000c00000000000000000401"},
+      {"WithContItem", pack(retire), "040000000000000000000201020000000506"},
+      {"WithContItem/elided", pack(convert), "080000000000000002000000"},
+      {"WithCont", pack(WithContMsg{77, {retire, convert}}),
+       "4d00000000000000020000000400000000000000000002010200000005060800000000"
+       "00000002000000"},
+      {"WithContAck",
+       pack(WithContAckMsg{77, true, ErrorCode::kGeneric, "", {shipped}}),
+       "4d00000000000000010000000000010000000500000000000000030404000000000000"
+       "00010400000001020304"},
+      {"WithContAck/refused",
+       pack(WithContAckMsg{78, false, ErrorCode::kSpecUpdate, "no", {}}),
+       "4e000000000000000002020000006e6f00000000"},
+      {"Acquire", pack(AcquireMsg{44, 45, 6}),
+       "2c000000000000002d0000000000000006"},
+      {"AcquireAck",
+       pack(AcquireAckMsg{13, 21, true, ErrorCode::kGeneric, "", true,
+                          bytes_of({1, 1, 2})}),
+       "0d0000000000000015000000000000000100000000000103000000010102"},
+      {"AcquireAck/refused",
+       pack(AcquireAckMsg{13, 22, false, ErrorCode::kUnrecoverable,
+                          "run aborted", false, {}}),
+       "0d00000000000000160000000000000000060b00000072756e2061626f7274656400"},
+      {"Done",
+       pack(DoneMsg{99, 2.5, {{31, bytes_of({1})}, {32, bytes_of({2, 3})}}}),
+       "63000000000000000000000000000440020000001f0000000000000001000000012000"
+       "000000000000020000000203"},
+      {"TaskError", pack(TaskErrorMsg{6, ErrorCode::kUndeclaredAccess, "bad"}),
+       "06000000000000000103000000626164"},
+      {"Heartbeat", pack(HeartbeatMsg{2, 9}),
+       "02000000000000000900000000000000"},
+      {"Coherence", pack(CoherenceMsg{-1, 2, 64}),
+       "ffffffffffffffff02000000000000004000000000000000"},
+      {"ObjFetch", pack(ObjFetchMsg{55}), "3700000000000000"},
+      {"ObjData", pack(ObjDataMsg{55, bytes_of({4, 5, 6})}),
+       "370000000000000003000000040506"},
+      {"Shutdown", pack(ShutdownMsg{}), ""},
+  };
+  for (const auto& c : cases) EXPECT_EQ(hex(c.bytes), c.want) << c.name;
+}
+
 // --- hostile input ----------------------------------------------------------
+
+TEST(ClusterMessages, OutOfRangeSignedFieldsAreProtocolError) {
+  // A Spawn whose body and placement exceed int32: a bare narrowing cast
+  // would read body 2^32 + 1 as 1 and placement 2^32 as 0, both of which
+  // pass the coordinator's range checks.
+  const auto spawn = [](std::int64_t body, std::int64_t placement) {
+    WireWriter w;
+    w.put_u64(5);           // parent
+    w.put_i64(body);
+    w.put_string("child");  // name
+    w.put_i64(placement);
+    w.put_bytes({});        // args
+    w.put_u32(0);           // requests
+    return w.take();
+  };
+  constexpr std::int64_t k2To32 = std::int64_t{1} << 32;
+  EXPECT_THROW(unpack<SpawnMsg>(spawn(k2To32 + 1, k2To32)), ProtocolError);
+  EXPECT_THROW(unpack<SpawnMsg>(spawn(1, k2To32)), ProtocolError);
+  EXPECT_THROW(unpack<SpawnMsg>(spawn(k2To32 + 1, 0)), ProtocolError);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_THROW(unpack<SpawnMsg>(spawn(kMin - 1, 0)), ProtocolError);
+  EXPECT_THROW(unpack<SpawnMsg>(spawn(0, kMax + 1)), ProtocolError);
+  const SpawnMsg edge = unpack<SpawnMsg>(spawn(kMax, kMin));
+  EXPECT_EQ(edge.body, kMax);
+  EXPECT_EQ(edge.placement, kMin);
+
+  // Every other narrowed field goes through the same check.
+  WireWriter hb;
+  hb.put_i64(std::numeric_limits<std::int64_t>::min());  // machine
+  hb.put_u64(1);                                          // seq
+  EXPECT_THROW(unpack<HeartbeatMsg>(hb.take()), ProtocolError);
+  WireWriter act;
+  act.put_i64(0);          // machine
+  act.put_i64(k2To32 + 4);  // machines
+  act.put_f64(0.025);
+  EXPECT_THROW(unpack<ActivateMsg>(act.take()), ProtocolError);
+  WireWriter coh;
+  coh.put_i64(-k2To32);  // from
+  coh.put_i64(0);        // to
+  coh.put_u64(64);
+  EXPECT_THROW(unpack<CoherenceMsg>(coh.take()), ProtocolError);
+}
 
 TEST(ClusterMessages, TruncationIsProtocolError) {
   // Every prefix of a valid encoding must decode cleanly to ProtocolError:

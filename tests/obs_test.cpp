@@ -100,14 +100,6 @@ TEST(Tracer, ClockStampsEventsAndAtVariantsOverrideIt) {
   EXPECT_EQ(evs[2].cat, Subsystem::kStore);
 }
 
-TEST(Tracer, WallClockOffByDefault) {
-  TraceRecorder rec;
-  Tracer t;
-  t.attach(&rec, nullptr);
-  t.instant(Subsystem::kEngine, "x", 0, 0);
-  EXPECT_DOUBLE_EQ(rec.snapshot().at(0).wall_ms, 0.0);
-}
-
 // ----------------------------------------------------------------- metrics
 
 TEST(Metrics, CountersAreFindOrCreateAndStable) {
