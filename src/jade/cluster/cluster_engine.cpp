@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "jade/cluster/worker.hpp"
-#include "jade/ft/recovery.hpp"
 #include "jade/support/error.hpp"
 
 namespace jade::cluster {
@@ -42,23 +41,16 @@ ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
       planner_(planner != nullptr ? std::move(planner)
                                   : model::default_planner()),
       serializer_(this, enforce_hierarchy),
-      directory_(options.workers),
-      transport_([this] { return wall_now(); }, &tracer_),
       throttle_(sched.throttle),
       epoch_(std::chrono::steady_clock::now()) {
+  if (options_.workers < 1)
+    throw ConfigError("cluster workers must be at least 1");
   if (options_.spares < 0)
     throw ConfigError("cluster spares must be non-negative");
   if (options_.heartbeat_interval <= 0)
     throw ConfigError("cluster heartbeat_interval must be positive");
   if (options_.miss_threshold < 1)
     throw ConfigError("cluster miss_threshold must be at least 1");
-  // Workers run on one homogeneous host, so conversions never fire; the
-  // protocol still wants the endian table shaped like the cluster.
-  coherence_ = std::make_unique<CoherenceProtocol>(
-      transport_, directory_, objects_,
-      std::vector<Endian>(static_cast<std::size_t>(options_.workers),
-                          Endian::kLittle),
-      CoherenceConfig{sched_.comm, 64, 0.0}, stats_, &tracer_);
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return objects_.info(obj).tenant; });
   // A worker can die with coordinator frames still queued toward it.
@@ -138,7 +130,6 @@ void ClusterEngine::ensure_workers_started() {
     while (slot.channel->want_write())
       if (!slot.channel->flush())
         throw ConfigError("cluster: worker died during activation");
-    transport_.set_channel(m, slot.channel.get());
   }
 
   // Detector slot 0 is the coordinator itself (never suspected); worker m
@@ -185,44 +176,37 @@ int ClusterEngine::slot_of_machine(MachineId m) const {
   return -1;
 }
 
-std::vector<std::uint8_t> ClusterEngine::machine_up_mask() const {
-  std::vector<std::uint8_t> up(static_cast<std::size_t>(options_.workers), 0);
-  for (const WorkerSlot& slot : slots_)
-    if (slot.machine >= 0 && !slot.dead && !slot.eof)
-      up[static_cast<std::size_t>(slot.machine)] = 1;
-  return up;
-}
-
 // --- Engine: objects --------------------------------------------------------
 
+// Objects have no home: every canonical buffer lives in the coordinator,
+// and a worker holds a copy only once a grant has shipped it one.
 ObjectId ClusterEngine::allocate(TypeDescriptor type, std::string name,
-                                 MachineId home) {
+                                 MachineId /*home*/) {
   std::lock_guard<std::mutex> lock(mu_);
   const ObjectId id = objects_.add(type, std::move(name));
-  const MachineId h = home >= 0 ? home % options_.workers
-                                : (alloc_rr_++ % options_.workers);
-  directory_.add_object(objects_.info(id), h);
+  ObjectData& d = data_.emplace_back();
+  d.bytes.assign(objects_.info(id).byte_size(), std::byte{0});
+  d.shipped.assign(static_cast<std::size_t>(options_.workers), 0);
   return id;
 }
 
 void ClusterEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!directory_.known(obj))
+  if (!known_locked(obj))
     throw ConfigError("put_bytes on unknown object " + std::to_string(obj));
-  if (data.size() != directory_.object_bytes(obj))
+  ObjectData& d = data_[obj - 1];
+  if (data.size() != d.bytes.size())
     throw ConfigError("put_bytes size mismatch on object " +
                       std::to_string(obj));
-  directory_.invalidate_replicas(obj);
-  std::memcpy(directory_.data(obj), data.data(), data.size());
+  std::memcpy(d.bytes.data(), data.data(), data.size());
   // The data version advances, so every worker's shipped copy goes stale
   // and the next dispatch re-ships the payload.
-  directory_.mark_dirty(obj);
+  ++d.version;
 }
 
 std::vector<std::byte> ClusterEngine::get_bytes(ObjectId obj) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto view = directory_.data_view(obj);
-  return std::vector<std::byte>(view.begin(), view.end());
+  return object_locked(obj).bytes;
 }
 
 const ObjectInfo& ClusterEngine::object_info(ObjectId obj) const {
@@ -297,10 +281,8 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     stats_.tasks_created = serializer_.tasks_created();
     throttle_.fold_into(stats_);
     stats_.heartbeats_sent = heartbeats_;
-    // Real wire accounting replaces the protocol's modeled counts: frames
-    // and bytes that actually crossed the sockets, both directions.
-    stats_.messages = 0;
-    stats_.bytes_sent = 0;
+    // Wire accounting: frames and bytes that actually crossed the sockets,
+    // both directions.
     for (const WorkerSlot& slot : slots_) {
       if (!slot.channel) continue;
       stats_.messages += slot.channel->tx_frames() + slot.channel->rx_frames();
@@ -318,7 +300,6 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     metrics_.counter("cluster.heartbeats").set(heartbeats_);
     metrics_.counter("cluster.worker_deaths").set(worker_deaths_);
     metrics_.counter("cluster.workers_respawned").set(workers_respawned_);
-    metrics_.counter("cluster.control_frames").set(transport_.control_frames());
     err = first_error_;
     first_error_ = nullptr;
   }
@@ -508,6 +489,10 @@ void ClusterEngine::create_registered_locked(
     throw ConfigError("task placement " + std::to_string(placement) +
                       " exceeds the cluster's " +
                       std::to_string(options_.workers) + " workers");
+  for (const AccessRequest& r : requests)
+    if (!known_locked(r.obj))
+      throw ConfigError("spawn declares object " + std::to_string(r.obj) +
+                        ", which the coordinator never allocated");
   TaskNode* child =
       serializer_.create_task(parent, requests, {}, std::move(name));
   child->placement = placement;
@@ -545,7 +530,7 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
     if (item.req.remove & access::kCommute) {
       TaskNode* next = nullptr;
       if (tokens_.release(item.req.obj, task, &next) && next != nullptr)
-        grant_token_locked(next, item.req.obj);
+        grant_token_locked(next);
     }
   }
 
@@ -587,13 +572,6 @@ void ClusterEngine::finish_with_cont_locked(TaskNode* task,
   WorkerSlot& slot = slots_[static_cast<std::size_t>(s)];
   TaskRec& rec = recs_[task];
   const MachineId w = rpc.worker;
-
-  std::vector<FetchItem> items;
-  for (const AccessRequest& req : rpc.requests)
-    if (req.add_immediate & (access::kRead | access::kWrite))
-      items.push_back(
-          {req.obj, (req.add_immediate & access::kWrite) != 0, true});
-  if (!items.empty()) coherence_->fetch(w, items);
 
   // Only the rights this conversion added ship a payload now.
   WithContAckMsg ack;
@@ -656,8 +634,6 @@ void ClusterEngine::grant_acquire_locked(TaskNode* task,
   const MachineId w = rpc.worker;
   const bool writes = (rpc.mode & (access::kWrite | access::kCommute)) != 0;
 
-  coherence_->fetch(w, {{rpc.obj, writes, true}});
-
   AcquireAckMsg ack;
   ack.task = task->id();
   ack.obj = rpc.obj;
@@ -680,9 +656,12 @@ void ClusterEngine::handle_done_locked(int s, const DoneMsg& msg) {
     tracer_.span_end_at(wall_now(), obs::Subsystem::kEngine, "task",
                         task->id(), slot.machine);
   if (aborting_) {
+    // The serializer's state is already off the success path, so the
+    // writebacks are dropped.
+    forget_unsaved_writes_locked(task, slot.machine);
     release_tokens_locked(task);
     root_cv_.notify_all();
-    return;  // the serializer's state is already off the success path
+    return;
   }
   // Writebacks land before the commute tokens return: a token handoff
   // ships the canonical bytes, which must already include this task's
@@ -702,6 +681,7 @@ void ClusterEngine::handle_task_error_locked(int s, const TaskErrorMsg& msg) {
     throw ProtocolError("task-error for a task not running on machine " +
                         std::to_string(slot.machine));
   slot.running = nullptr;
+  forget_unsaved_writes_locked(task, slot.machine);
   release_tokens_locked(task);
   abort_run_locked(capture_error(
       msg.code, msg.what + " (in task '" + task->name() + "')"));
@@ -743,11 +723,11 @@ void ClusterEngine::release_tokens_locked(TaskNode* task) {
   for (ObjectId obj : held) {
     TaskNode* next = nullptr;
     if (tokens_.release(obj, task, &next) && next != nullptr)
-      grant_token_locked(next, obj);
+      grant_token_locked(next);
   }
 }
 
-void ClusterEngine::grant_token_locked(TaskNode* next, ObjectId obj) {
+void ClusterEngine::grant_token_locked(TaskNode* next) {
   if (next == serializer_.root()) {
     root_token_ready_ = true;
     root_cv_.notify_all();
@@ -779,11 +759,13 @@ void ClusterEngine::pump_locked() {
       if (slot.machine < 0 || slot.dead || slot.eof || !slot.channel ||
           slot.channel->closed() || slot.running != nullptr)
         continue;
-      // Candidate window: placement-compatible ready tasks, oldest first.
-      std::vector<std::vector<ObjectId>> lists;
+      // Candidate window: placement-compatible ready tasks, oldest first,
+      // each scored by the declared bytes this worker holds at the current
+      // version.
+      std::vector<std::size_t> resident;
       std::vector<std::size_t> index_of;
-      for (std::size_t i = 0; i < ready_.size() && lists.size() < kPickWindow;
-           ++i) {
+      for (std::size_t i = 0;
+           i < ready_.size() && resident.size() < kPickWindow; ++i) {
         TaskNode* t = ready_[i];
         if (t->placement >= 0) {
           if (slot_of_machine(t->placement) < 0) {
@@ -794,20 +776,21 @@ void ClusterEngine::pump_locked() {
           }
           if (t->placement != slot.machine) continue;
         }
-        std::vector<ObjectId> objs;
-        objs.reserve(t->record_count());
-        for (const DeclRecord* r : t->ordered_records()) objs.push_back(r->obj);
-        lists.push_back(std::move(objs));
+        std::size_t bytes = 0;
+        for (const DeclRecord* r : t->ordered_records()) {
+          const ObjectData& d = data_[r->obj - 1];
+          if (d.current_on(slot.machine)) bytes += d.bytes.size();
+        }
+        resident.push_back(bytes);
         index_of.push_back(i);
       }
-      if (lists.empty()) continue;
+      if (resident.empty()) continue;
       std::size_t pick;
       if (tracer_.enabled()) {
         // Tracing: capture the scored window too, so the selection can be
         // audited from the trace (the SimEngine "sched.place" counterpart).
         PlacementExplain explain;
-        pick = planner_->select_task(
-            directory_, {lists, slot.machine, sched_.locality}, &explain);
+        pick = planner_->select_task({resident, sched_.locality}, &explain);
         if (pick != SIZE_MAX) {
           std::vector<std::uint64_t> ids;
           ids.reserve(index_of.size());
@@ -819,8 +802,7 @@ void ClusterEngine::pump_locked() {
               model::format_task_select_explain(explain, slot.machine, ids));
         }
       } else {
-        pick = planner_->select_task(directory_,
-                                     {lists, slot.machine, sched_.locality});
+        pick = planner_->select_task({resident, sched_.locality});
       }
       if (pick == SIZE_MAX) pick = 0;
       TaskNode* task = ready_[static_cast<std::ptrdiff_t>(index_of[pick])];
@@ -838,12 +820,6 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   const MachineId w = slot.machine;
   serializer_.task_started(task);
   TaskRec& rec = recs_[task];
-
-  std::vector<FetchItem> items;
-  for (const DeclRecord* r : task->ordered_records())
-    if (r->immediate & (access::kRead | access::kWrite))
-      items.push_back({r->obj, (r->immediate & access::kWrite) != 0, true});
-  if (!items.empty()) coherence_->fetch(w, items);
 
   DispatchMsg msg;
   msg.task = task->id();
@@ -871,7 +847,7 @@ ObjectShip ClusterEngine::make_ship_locked(TaskNode* task, ObjectId obj,
   ship.obj = obj;
   ship.immediate = r ? r->immediate : 0;
   ship.deferred = r ? r->deferred : 0;
-  ship.bytes = directory_.object_bytes(obj);
+  ship.bytes = data_[obj - 1].bytes.size();
   // Commute-only rights ship their payload at the accessor RPC, after the
   // token orders this task among the commuters; deferred-only rights ship
   // at conversion.  Granted rd/wr rights ship now.
@@ -885,56 +861,56 @@ ObjectShip ClusterEngine::make_ship_locked(TaskNode* task, ObjectId obj,
 bool ClusterEngine::ship_payload_locked(ObjectId obj, MachineId w,
                                         bool write, TaskRec& rec,
                                         std::vector<std::byte>& payload) {
-  const bool current = shipped_current(obj, w);
-  // A write grant invalidates every other replica and opens a new data
-  // version once per attempt (booked in rec.dirtied); w's copy carries it.
-  if (write) coherence_->first_write_invalidate(w, obj, rec.dirtied);
-  set_shipped(obj, w);
+  ObjectData& d = data_[obj - 1];
+  const bool current = d.current_on(w);
+  // A write grant opens a new data version once per attempt (booked in
+  // rec.dirtied); w's copy carries it, every other copy goes stale.
+  std::vector<ObjectId>& dirtied = rec.dirtied;
+  if (write &&
+      std::find(dirtied.begin(), dirtied.end(), obj) == dirtied.end()) {
+    ++d.version;
+    dirtied.push_back(obj);
+  }
+  d.shipped[static_cast<std::size_t>(w)] = d.version;
   if (current) return false;
-  const auto view = directory_.data_view(obj);
-  payload.assign(view.begin(), view.end());
+  payload = d.bytes;
   payload_bytes_shipped_ += payload.size();
+  ++(write ? stats_.object_moves : stats_.object_copies);
   return true;
 }
 
 // --- data movement ----------------------------------------------------------
 
-bool ClusterEngine::shipped_current(ObjectId obj, MachineId m) const {
-  const auto it = shipped_.find({obj, m});
-  return it != shipped_.end() && it->second == directory_.data_version(obj);
+bool ClusterEngine::known_locked(ObjectId obj) const {
+  return obj >= 1 && obj <= data_.size();
 }
 
-void ClusterEngine::set_shipped(ObjectId obj, MachineId m) {
-  shipped_[{obj, m}] = directory_.data_version(obj);
+ClusterEngine::ObjectData& ClusterEngine::object_locked(ObjectId obj) {
+  JADE_ASSERT_MSG(known_locked(obj), "unknown shared object id");
+  return data_[obj - 1];
 }
 
 void ClusterEngine::apply_writeback_locked(ObjectId obj,
                                            std::span<const std::byte> data,
                                            MachineId from) {
-  if (!directory_.known(obj))
+  if (!known_locked(obj))
     throw ProtocolError("writeback for unknown object " + std::to_string(obj));
-  if (data.size() != directory_.object_bytes(obj))
+  ObjectData& d = data_[obj - 1];
+  if (data.size() != d.bytes.size())
     throw ProtocolError("writeback size mismatch on object " +
                         std::to_string(obj));
-  // The writer held exclusivity, so it should be the sole holder already;
-  // invalidate defensively so mark_dirty's precondition always holds.
-  directory_.invalidate_replicas(obj);
-  std::memcpy(directory_.data(obj), data.data(), data.size());
-  directory_.mark_dirty(obj);
+  std::memcpy(d.bytes.data(), data.data(), data.size());
   // The writer's copy *is* the new canonical content; everyone else's
-  // entry silently went stale when the data version advanced.
-  set_shipped(obj, from);
+  // went stale when the data version advanced.
+  d.shipped[static_cast<std::size_t>(from)] = ++d.version;
   writeback_bytes_ += data.size();
 }
 
-void ClusterEngine::root_write_locked(ObjectId obj) {
-  // The root writes the canonical buffer in place.  Unlike a task, the
-  // root has no bracketed attempt, so every acquisition dirties: a stale
-  // worker copy must never satisfy a later dispatch.
-  const std::vector<MachineId> dropped = directory_.invalidate_replicas(obj);
-  if (!dropped.empty())
-    transport_.multicast(-1, dropped, 64, wall_now());
-  directory_.mark_dirty(obj);
+void ClusterEngine::forget_unsaved_writes_locked(TaskNode* task, MachineId w) {
+  const auto it = recs_.find(task);
+  if (it == recs_.end()) return;
+  for (ObjectId obj : it->second.dirtied)
+    data_[obj - 1].shipped[static_cast<std::size_t>(w)] = 0;
 }
 
 // --- TaskContext backend (root thread) --------------------------------------
@@ -983,7 +959,7 @@ void ClusterEngine::with_cont(TaskNode* task,
     if (r.remove & access::kCommute) {
       TaskNode* next = nullptr;
       if (tokens_.release(r.obj, task, &next) && next != nullptr)
-        grant_token_locked(next, r.obj);
+        grant_token_locked(next);
     }
   }
   const bool must_block = serializer_.update_spec(task, requests);
@@ -1013,8 +989,12 @@ std::byte* ClusterEngine::acquire_bytes(TaskNode* task, ObjectId obj,
     const bool got = tokens_.try_acquire(obj, task);
     JADE_ASSERT_MSG(got, "commute token held with no conflicting records");
   }
-  if (mode & (access::kWrite | access::kCommute)) root_write_locked(obj);
-  return directory_.data(obj);
+  ObjectData& d = object_locked(obj);
+  // The root writes the canonical bytes in place and has no bracketed
+  // attempt, so every write acquisition opens a new data version: a stale
+  // worker copy must never satisfy a later dispatch.
+  if (mode & (access::kWrite | access::kCommute)) ++d.version;
+  return d.bytes.data();
 }
 
 void ClusterEngine::charge(TaskNode* task, double units) {
@@ -1025,11 +1005,6 @@ void ClusterEngine::charge(TaskNode* task, double units) {
 
 MachineId ClusterEngine::machine_of(TaskNode* task) const {
   return task->assigned_machine >= 0 ? task->assigned_machine : 0;
-}
-
-void ClusterEngine::enable_tracing(const ObsConfig& config) {
-  Engine::enable_tracing(config);
-  directory_.set_observer(&tracer_, [this] { return wall_now(); });
 }
 
 // --- failure handling -------------------------------------------------------
@@ -1044,7 +1019,6 @@ void ClusterEngine::handle_worker_death_locked(int s) {
 
   ++worker_deaths_;
   ++stats_.machine_crashes;
-  transport_.set_channel(w, nullptr);
   if (tracer_.enabled())
     tracer_.instant_at(wall_now(), obs::Subsystem::kFt, "worker.death",
                        static_cast<std::uint64_t>(slot.pid), w);
@@ -1080,28 +1054,10 @@ void ClusterEngine::handle_worker_death_locked(int s) {
     }
   }
 
-  // Directory surgery: the machine's copies are gone.  The coordinator's
-  // canonical buffer is the stable store, so nothing is ever lost — a sole
-  // copy "restores" (metadata-only) to a survivor and the shipped-version
-  // map re-ships actual bytes on the next dispatch that needs them.
-  const std::vector<std::uint8_t> up = machine_up_mask();
-  const bool any_up =
-      std::find(up.begin(), up.end(), std::uint8_t{1}) != up.end();
-  for (const RecoveryAction& a :
-       plan_object_recovery(directory_, w, up, /*stable_storage=*/true)) {
-    if (a.fate == ObjectFate::kRehomed && a.owner_moved) {
-      directory_.set_owner(a.obj, a.new_home);
-      ++stats_.objects_rehomed;
-    }
-    directory_.drop_copy(a.obj, w);
-    if (a.fate == ObjectFate::kRestored && a.new_home >= 0) {
-      directory_.restore_to(a.obj, a.new_home);
-      ++stats_.objects_restored;
-    }
-  }
-  coherence_->forget_machine(w);
-  for (auto it = shipped_.begin(); it != shipped_.end();)
-    it = it->first.machine == w ? shipped_.erase(it) : std::next(it);
+  // The machine's copies died with it.  The coordinator's canonical bytes
+  // are the stable store, so forgetting them is the whole recovery: the
+  // next grant to this machine id re-ships whatever it needs.
+  for (ObjectData& d : data_) d.shipped[static_cast<std::size_t>(w)] = 0;
 
   // A pre-forked spare, if one is left, takes over the machine id.
   for (WorkerSlot& spare : slots_) {
@@ -1113,7 +1069,6 @@ void ClusterEngine::handle_worker_death_locked(int s) {
                          pack(ActivateMsg{w, options_.workers,
                                           options_.heartbeat_interval}));
     spare.channel->flush();
-    transport_.set_channel(w, spare.channel.get());
     detector_->heartbeat_received(w + 1, wall_now());
     ++workers_respawned_;
     if (tracer_.enabled())
@@ -1122,7 +1077,10 @@ void ClusterEngine::handle_worker_death_locked(int s) {
     break;
   }
 
-  if (!any_up && slot_of_machine(w) < 0 && !aborting_ &&
+  bool any_up = false;
+  for (const WorkerSlot& other : slots_)
+    if (other.machine >= 0 && !other.dead && !other.eof) any_up = true;
+  if (!any_up && !aborting_ &&
       (serializer_.outstanding() > 0 || !ready_.empty())) {
     abort_run_locked(std::make_exception_ptr(
         UnrecoverableError("every worker process died")));
@@ -1186,11 +1144,13 @@ pid_t ClusterEngine::worker_pid(MachineId m) const {
 
 bool ClusterEngine::debug_probe(ObjectId obj) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (!known_locked(obj)) return true;  // no copy anywhere: nothing to check
+  const ObjectData& d = data_[obj - 1];
   int s = -1;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const WorkerSlot& slot = slots_[i];
     if (slot.machine >= 0 && !slot.dead && !slot.eof && slot.channel &&
-        !slot.channel->closed() && shipped_current(obj, slot.machine)) {
+        !slot.channel->closed() && d.current_on(slot.machine)) {
       s = static_cast<int>(i);
       break;
     }
@@ -1214,9 +1174,7 @@ bool ClusterEngine::debug_probe(ObjectId obj) {
       } else if (f.type == FrameType::kObjData) {
         const ObjDataMsg data = unpack<ObjDataMsg>(f.payload);
         if (data.obj != obj) continue;
-        const auto view = directory_.data_view(obj);
-        return data.payload.size() == view.size() &&
-               std::memcmp(data.payload.data(), view.data(), view.size()) == 0;
+        return data.payload == d.bytes;
       }
     }
   }

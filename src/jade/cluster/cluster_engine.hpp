@@ -4,19 +4,16 @@
 // processes connected by Unix-domain socketpairs and drives them through the
 // cluster wire protocol (frame.hpp).  All semantic state is coordinator-side:
 // the Serializer orders declarations, the CommuteTokenTable serializes
-// commuters, the ThrottleGate paces the root, the ObjectDirectory +
-// CoherenceProtocol (over a SocketTransport) book object motion, and the
-// FailureDetector turns missing heartbeats into recovery.  Workers execute
-// registered task bodies against local byte copies and RPC back for
-// anything serializer-relevant.
+// commuters, the ThrottleGate paces the root, and the FailureDetector turns
+// missing heartbeats into recovery.  Workers execute registered task bodies
+// against local byte copies and RPC back for anything serializer-relevant.
 //
-// Data movement is governed by a shipped-version map, not by the directory:
-// for every (object, worker) the coordinator records the data version it
-// last shipped or received; a dispatch/grant attaches the payload iff that
-// version is stale.  The directory still runs the full Section 5 protocol
-// (moves, replicas, invalidations) for placement decisions and stats, but
-// correctness never depends on its metadata being exact — the version map
-// is the physical truth.
+// Data movement: the coordinator holds every object's canonical bytes and
+// data version, and for each worker the version it last shipped to or
+// received from that worker.  This shipped-version map is the only record
+// of worker copies: a dispatch/grant attaches the payload iff the worker's
+// version is stale, and task selection scores locality by the declared
+// bytes a worker holds at the current version.
 //
 // Failure semantics: each worker heartbeats the coordinator; the sweep
 // (ft/failure_detector.hpp) suspects silent workers, a waitpid confirms
@@ -35,21 +32,17 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "jade/cluster/channel.hpp"
 #include "jade/cluster/frame.hpp"
 #include "jade/cluster/options.hpp"
 #include "jade/cluster/registry.hpp"
-#include "jade/cluster/socket_transport.hpp"
 #include "jade/engine/engine.hpp"
 #include "jade/ft/failure_detector.hpp"
 #include "jade/model/planner.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
-#include "jade/store/coherence.hpp"
-#include "jade/store/directory.hpp"
 
 namespace jade::cluster {
 
@@ -84,7 +77,6 @@ class ClusterEngine : public Engine,
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return options_.workers; }
   MachineId machine_of(TaskNode* task) const override;
-  void enable_tracing(const ObsConfig& config) override;
 
   // --- RegisteredSpawner ---------------------------------------------------
   void spawn_registered(TaskNode* parent,
@@ -103,19 +95,29 @@ class ClusterEngine : public Engine,
   /// match (or no worker holds a current copy).  Only legal between runs.
   bool debug_probe(ObjectId obj);
 
-  const ObjectDirectory& directory() const { return directory_; }
-
  private:
   // --- structures ----------------------------------------------------------
   struct TaskRec {
     int body = -1;
     std::vector<std::byte> args;
-    /// Objects whose data version this attempt already bumped
-    /// (CoherenceProtocol::first_write_invalidate books through it).
+    /// Objects whose data version this attempt already bumped at a write
+    /// grant (a crash re-dispatch must not bump them again).
     std::vector<ObjectId> dirtied;
     /// A task is restartable after a crash only while it is a pure leaf:
     /// no child spawned, no with-cont (including payload flushes) executed.
     bool restartable = true;
+  };
+
+  /// One shared object as the coordinator keeps it.
+  struct ObjectData {
+    std::vector<std::byte> bytes;  ///< canonical content
+    std::uint64_t version = 1;     ///< data version; bumped by every write
+    /// Per machine id: the version last shipped to or received from that
+    /// worker (0: it holds no usable copy).
+    std::vector<std::uint64_t> shipped;
+    bool current_on(MachineId m) const {
+      return shipped[static_cast<std::size_t>(m)] == version;
+    }
   };
 
   struct WorkerSlot {
@@ -175,7 +177,7 @@ class ClusterEngine : public Engine,
   void finish_task_locked(TaskNode* task);
   void drain_unblocked_locked();
   void release_tokens_locked(TaskNode* task);
-  void grant_token_locked(TaskNode* next, ObjectId obj);
+  void grant_token_locked(TaskNode* next);
 
   // --- RPC continuation (mu_ held) -----------------------------------------
   void continue_acquire_locked(TaskNode* task, PendingRpc& rpc);
@@ -187,17 +189,21 @@ class ClusterEngine : public Engine,
                      ObjectId obj, const std::exception& why);
 
   // --- data movement (mu_ held) --------------------------------------------
-  bool shipped_current(ObjectId obj, MachineId m) const;
-  void set_shipped(ObjectId obj, MachineId m);
+  bool known_locked(ObjectId obj) const;
+  /// `obj`'s entry; asserts that the coordinator allocated it.
+  ObjectData& object_locked(ObjectId obj);
   /// Applies a worker's writeback payload to the canonical buffer, bumps
   /// the data version, and marks every other worker's copy stale.
   void apply_writeback_locked(ObjectId obj, std::span<const std::byte> data,
                               MachineId from);
-  /// Root-side write acquisition: invalidate replicas, notify, dirty.
-  void root_write_locked(ObjectId obj);
+  /// A task on `w` ended without its writebacks applied (it failed, or the
+  /// run is aborting): `w`'s copies of the objects it was granted write on
+  /// may hold writes no version has, so they stop counting as current.
+  void forget_unsaved_writes_locked(TaskNode* task, MachineId w);
   /// The one payload-ship rule: a grant to `w` carries `obj`'s canonical
   /// bytes iff `w`'s shipped version is stale (returns true and fills
-  /// `payload`).  A write grant first invalidates the other replicas.
+  /// `payload`).  A write grant first opens a new data version, once per
+  /// attempt, so every other worker's copy goes stale.
   bool ship_payload_locked(ObjectId obj, MachineId w, bool write,
                            TaskRec& rec, std::vector<std::byte>& payload);
   /// `task`'s current rights on `obj`, with the payload shipped (by
@@ -213,7 +219,6 @@ class ClusterEngine : public Engine,
   void throw_if_aborting_locked() const;
 
   int slot_of_machine(MachineId m) const;
-  std::vector<std::uint8_t> machine_up_mask() const;
 
   // --- configuration & construction-time services --------------------------
   Options options_;
@@ -223,9 +228,6 @@ class ClusterEngine : public Engine,
   std::shared_ptr<const model::Planner> planner_;
   Serializer serializer_;
   ObjectTable objects_;
-  ObjectDirectory directory_;
-  SocketTransport transport_;
-  std::unique_ptr<CoherenceProtocol> coherence_;
   CommuteTokenTable tokens_;
   ThrottleGate throttle_;
   std::unique_ptr<FailureDetector> detector_;
@@ -243,15 +245,12 @@ class ClusterEngine : public Engine,
   std::vector<TaskNode*> unblocked_;
   std::unordered_map<TaskNode*, TaskRec> recs_;
   std::unordered_map<TaskNode*, PendingRpc> pending_;
-  /// Data version last shipped to / received from each (object, worker).
-  std::unordered_map<ObjectMachineKey, std::uint64_t, ObjectMachineKeyHash>
-      shipped_;
+  std::vector<ObjectData> data_;  ///< indexed by ObjectId - 1
   bool root_done_ = false;
   bool root_unblocked_ = false;
   bool root_token_ready_ = false;
   bool aborting_ = false;
   std::exception_ptr first_error_;
-  MachineId alloc_rr_ = 0;
 
   // --- cluster counters (published as cluster.* metrics) -------------------
   std::uint64_t dispatches_ = 0;

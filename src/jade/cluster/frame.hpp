@@ -55,12 +55,11 @@ enum class FrameType : std::uint8_t {
   kDone = 9,        ///< worker -> coordinator: task finished, with writebacks
   kTaskError = 10,  ///< worker -> coordinator: task body threw
   kHeartbeat = 11,  ///< worker -> coordinator: liveness
-  kCoherence = 12,  ///< coordinator -> worker: coherence control traffic
-  kObjFetch = 13,   ///< coordinator -> worker: send me your copy of obj
-  kObjData = 14,    ///< worker -> coordinator: reply to kObjFetch
-  kShutdown = 15,   ///< coordinator -> worker: exit cleanly
+  kObjFetch = 12,   ///< coordinator -> worker: send me your copy of obj
+  kObjData = 13,    ///< worker -> coordinator: reply to kObjFetch
+  kShutdown = 14,   ///< coordinator -> worker: exit cleanly
 };
-inline constexpr std::uint8_t kMaxFrameType = 15;
+inline constexpr std::uint8_t kMaxFrameType = 14;
 
 /// One decoded frame.
 struct Frame {
@@ -253,16 +252,6 @@ struct HeartbeatMsg {
   MachineId machine = -1;
   std::uint64_t seq = 0;
   static void fields(auto& f, auto& m) { f(m.machine, m.seq); }
-};
-
-/// Coherence control traffic as seen by the socket transport: the transport
-/// is below the protocol, so it carries opaque control-byte counts, not
-/// object identities.
-struct CoherenceMsg {
-  MachineId from = -1;
-  MachineId to = -1;
-  std::uint64_t bytes = 0;
-  static void fields(auto& f, auto& m) { f(m.from, m.to, m.bytes); }
 };
 
 struct ObjFetchMsg {

@@ -22,8 +22,8 @@ namespace {
 
 /// Engine facade inside a worker process.  One task runs at a time; every
 /// serializer-relevant operation (acquire, with_cont, spawn) is an RPC to
-/// the coordinator.  Interleaved coordinator frames (coherence notices,
-/// object-fetch probes) are served while waiting for an ack.
+/// the coordinator.  Interleaved coordinator frames (object-fetch probes)
+/// are served while waiting for an ack.
 class WorkerEngine : public Engine, public RegisteredSpawner {
  public:
   WorkerEngine(Channel& ch, MachineId machine, int machines)
@@ -89,11 +89,6 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
   /// a task waits for an ack).  Returns false on Shutdown.
   bool serve(const Frame& f) {
     switch (f.type) {
-      case FrameType::kCoherence: {
-        (void)unpack<CoherenceMsg>(f.payload);  // control notice; accounted
-        ++coherence_notices_;
-        return true;
-      }
       case FrameType::kObjFetch: {
         const auto req = unpack<ObjFetchMsg>(f.payload);
         ObjDataMsg reply;
@@ -110,8 +105,6 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
                             std::to_string(static_cast<int>(f.type)));
     }
   }
-
-  std::uint64_t coherence_notices() const { return coherence_notices_; }
 
   // --- Engine interface ----------------------------------------------------
 
@@ -306,7 +299,6 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
   std::uint64_t task_id_ = 0;
   double charged_ = 0;
   bool spawned_ = false;
-  std::uint64_t coherence_notices_ = 0;
 };
 
 /// Heartbeat sender: one frame per interval until stopped.

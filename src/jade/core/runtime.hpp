@@ -59,7 +59,8 @@ struct RuntimeConfig {
   /// boundary.
   cluster::Options cluster_proc;
 
-  /// Scheduling policy (SimEngine; ThreadEngine uses throttle only).
+  /// Scheduling policy (SimEngine; ClusterEngine uses locality and
+  /// throttle; ThreadEngine uses throttle only).
   SchedPolicy sched;
 
   /// Policy/placement decision seam (docs/MODEL.md).  Before the engine is

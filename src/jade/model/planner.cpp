@@ -18,11 +18,9 @@ MachineId HeuristicPlanner::place_task(const ObjectDirectory& dir,
                                q.creator, explain);
 }
 
-std::size_t HeuristicPlanner::select_task(const ObjectDirectory& dir,
-                                          const SelectQuery& q,
+std::size_t HeuristicPlanner::select_task(const SelectQuery& q,
                                           PlacementExplain* explain) const {
-  return pick_task_for_machine(dir, q.object_lists, q.machine, q.locality,
-                               explain);
+  return pick_task_for_machine(q.resident_bytes, q.locality, explain);
 }
 
 std::shared_ptr<const Planner> default_planner() {

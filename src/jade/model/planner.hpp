@@ -36,8 +36,8 @@ struct PlacementQuery {
 
 /// Inputs to a task-for-machine selection (ClusterEngine dispatch).
 struct SelectQuery {
-  std::span<const std::vector<ObjectId>> object_lists;  ///< per ready task
-  MachineId machine = 0;
+  /// Per ready task: its declared bytes the idle machine already holds.
+  std::span<const std::size_t> resident_bytes;
   bool locality = true;
 };
 
@@ -56,9 +56,8 @@ class Planner {
                                PlacementExplain* explain = nullptr) const = 0;
 
   /// Picks which ready task an idle machine should take (window indices into
-  /// `q.object_lists`); SIZE_MAX when the window is empty.
-  virtual std::size_t select_task(const ObjectDirectory& dir,
-                                  const SelectQuery& q,
+  /// `q.resident_bytes`); SIZE_MAX when the window is empty.
+  virtual std::size_t select_task(const SelectQuery& q,
                                   PlacementExplain* explain = nullptr)
       const = 0;
 
@@ -87,7 +86,7 @@ class HeuristicPlanner : public Planner {
   const char* name() const override { return "heuristic"; }
   MachineId place_task(const ObjectDirectory& dir, const PlacementQuery& q,
                        PlacementExplain* explain) const override;
-  std::size_t select_task(const ObjectDirectory& dir, const SelectQuery& q,
+  std::size_t select_task(const SelectQuery& q,
                           PlacementExplain* explain) const override;
 };
 

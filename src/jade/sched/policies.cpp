@@ -54,25 +54,19 @@ MachineId pick_machine_for_task(const ObjectDirectory& dir,
   return best;
 }
 
-std::size_t pick_task_for_machine(
-    const ObjectDirectory& dir,
-    std::span<const std::vector<ObjectId>> object_lists, MachineId machine,
-    bool locality, PlacementExplain* explain) {
+std::size_t pick_task_for_machine(std::span<const std::size_t> resident_bytes,
+                                  bool locality, PlacementExplain* explain) {
   if (explain != nullptr) {
     explain->task_candidates.clear();
     explain->chosen_index = std::numeric_limits<std::size_t>::max();
   }
-  if (object_lists.empty()) return std::numeric_limits<std::size_t>::max();
+  if (resident_bytes.empty()) return std::numeric_limits<std::size_t>::max();
   std::size_t best = 0;
-  std::size_t best_bytes =
-      locality ? dir.bytes_scoreable(object_lists[0], machine) : 0;
-  if (explain != nullptr)
-    explain->task_candidates.push_back({0, best_bytes});
-  for (std::size_t i = 1; i < object_lists.size(); ++i) {
-    const std::size_t bytes =
-        locality ? dir.bytes_scoreable(object_lists[i], machine) : 0;
+  std::size_t best_bytes = 0;
+  for (std::size_t i = 0; i < resident_bytes.size(); ++i) {
+    const std::size_t bytes = locality ? resident_bytes[i] : 0;
     if (explain != nullptr) explain->task_candidates.push_back({i, bytes});
-    if (locality && bytes > best_bytes) {  // strict: FIFO wins ties
+    if (bytes > best_bytes) {  // strict: FIFO wins ties
       best = i;
       best_bytes = bytes;
     }

@@ -126,17 +126,17 @@ MachineId pick_machine_for_task(const ObjectDirectory& dir,
                                 PlacementExplain* explain = nullptr);
 
 /// Picks which of several ready tasks an idle machine should take: with
-/// locality on, the task with the most resident bytes on `machine`; ties
-/// (and locality off) fall to the oldest task (FIFO, serial-order friendly).
-/// `object_lists[i]` are the declared objects of ready task i.  Returns the
-/// winning index, or SIZE_MAX if `object_lists` is empty.
+/// locality on, the task with the most resident bytes; ties (and locality
+/// off) fall to the oldest task (FIFO, serial-order friendly).
+/// `resident_bytes[i]` counts ready task i's declared bytes the machine
+/// already holds.  Returns the winning index, or SIZE_MAX if
+/// `resident_bytes` is empty.
 ///
 /// `explain`, when non-null, receives the scored window
 /// (PlacementExplain::task_candidates) and the winning index.
-std::size_t pick_task_for_machine(
-    const ObjectDirectory& dir,
-    std::span<const std::vector<ObjectId>> object_lists, MachineId machine,
-    bool locality, PlacementExplain* explain = nullptr);
+std::size_t pick_task_for_machine(std::span<const std::size_t> resident_bytes,
+                                  bool locality,
+                                  PlacementExplain* explain = nullptr);
 
 /// Home re-election after a crash: the lowest-indexed surviving machine that
 /// already holds a copy of `obj` (its replica becomes the authoritative

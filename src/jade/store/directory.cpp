@@ -8,12 +8,10 @@
 
 namespace jade {
 
-ObjectDirectory::ObjectDirectory(int machines) {
+ObjectDirectory::ObjectDirectory(int machines) : machines_(machines) {
   if (machines < 1 || machines > kMaxMachines)
     throw ConfigError("directory supports 1.." + std::to_string(kMaxMachines) +
                       " machines, got " + std::to_string(machines));
-  stores_.reserve(static_cast<std::size_t>(machines));
-  for (int m = 0; m < machines; ++m) stores_.emplace_back(m);
 }
 
 void ObjectDirectory::set_observer(obs::Tracer* tracer,
@@ -29,16 +27,6 @@ void ObjectDirectory::emit(const char* name, ObjectId obj, MachineId machine,
   tracer_->instant_at(ts, obs::Subsystem::kStore, name, obj, machine, value);
 }
 
-LocalStore& ObjectDirectory::store(MachineId m) {
-  JADE_ASSERT(m >= 0 && static_cast<std::size_t>(m) < stores_.size());
-  return stores_[static_cast<std::size_t>(m)];
-}
-
-const LocalStore& ObjectDirectory::store(MachineId m) const {
-  JADE_ASSERT(m >= 0 && static_cast<std::size_t>(m) < stores_.size());
-  return stores_[static_cast<std::size_t>(m)];
-}
-
 void ObjectDirectory::add_object(const ObjectInfo& info, MachineId home) {
   JADE_ASSERT_MSG(info.id == entries_.size() + 1,
                   "objects must be registered in allocation order");
@@ -50,7 +38,6 @@ void ObjectDirectory::add_object(const ObjectInfo& info, MachineId home) {
   e.copies.set(home);
   e.buffer.assign(e.bytes, std::byte{0});
   entries_.push_back(std::move(e));
-  store(home).insert(info.id, info.byte_size());
 }
 
 bool ObjectDirectory::known(ObjectId obj) const {
@@ -129,7 +116,6 @@ std::vector<MachineId> ObjectDirectory::invalidate_replicas(ObjectId obj) {
   for (MachineId h : dropped) {
     note_drop(e, h);
     e.copies.clear(h);
-    store(h).evict(obj, e.bytes);
     emit("store.invalidate", obj, h, static_cast<double>(e.bytes));
   }
   return dropped;
@@ -145,7 +131,6 @@ void ObjectDirectory::revalidate_to(ObjectId obj, MachineId m) {
   Entry& e = entry(obj);
   JADE_ASSERT_MSG(reusable(obj, m), "revalidating a non-reusable replica");
   e.copies.set(m);
-  store(m).insert(obj, e.bytes);
   emit("store.revalidate", obj, m, static_cast<double>(e.bytes));
 }
 
@@ -154,24 +139,20 @@ void ObjectDirectory::replicate_to(ObjectId obj, MachineId m) {
   JADE_ASSERT_MSG(!e.copies.test(m),
                   "replicating to a machine that already holds a copy");
   e.copies.set(m);
-  store(m).insert(obj, e.bytes);
   emit("store.replicate", obj, m, static_cast<double>(e.bytes));
 }
 
 int ObjectDirectory::move_to(ObjectId obj, MachineId m) {
   Entry& e = entry(obj);
   int invalidated = 0;
-  const bool had_copy = e.copies.test(m);
   e.copies.for_each([&](MachineId h) {
     if (h == m) return;
     note_drop(e, h);
-    store(h).evict(obj, e.bytes);
     if (h != e.owner) {
       ++invalidated;  // the owner's copy travels, not dies
       emit("store.invalidate", obj, h, static_cast<double>(e.bytes));
     }
   });
-  if (!had_copy) store(m).insert(obj, e.bytes);
   e.copies.reset();
   e.copies.set(m);
   e.owner = m;
@@ -221,7 +202,6 @@ void ObjectDirectory::drop_copy(ObjectId obj, MachineId m) {
                   "re-home it first");
   note_drop(e, m);
   e.copies.clear(m);
-  store(m).evict(obj, e.bytes);
 }
 
 void ObjectDirectory::set_owner(ObjectId obj, MachineId m) {
@@ -240,7 +220,6 @@ void ObjectDirectory::restore_to(ObjectId obj, MachineId m) {
   e.copies.set(m);
   e.owner = m;
   ++e.version;
-  store(m).insert(obj, e.bytes);
   emit("store.restore", obj, m, static_cast<double>(e.bytes));
 }
 

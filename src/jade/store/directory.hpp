@@ -16,9 +16,11 @@
 // still matches the current data version can revalidate the stale replica
 // with a control round-trip instead of re-shipping the payload.
 //
-// The directory also owns the canonical byte buffer of every object (task
-// bodies execute in-process, so there is exactly one data copy; see
-// LocalStore for why this is faithful).
+// The directory also owns the canonical byte buffer of every object.  Task
+// bodies execute in one host process, so the bytes live once per object
+// (replicas never diverge in Jade: a writer holds the only copy); the
+// per-object copy set is what drives transfer decisions, the locality
+// heuristic and the traffic accounting.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,6 @@
 
 #include "jade/core/object.hpp"
 #include "jade/obs/tracer.hpp"
-#include "jade/store/local_store.hpp"
 #include "jade/store/replica_set.hpp"
 #include "jade/support/time.hpp"
 
@@ -43,9 +44,7 @@ class ObjectDirectory {
   /// time itself, so the owning engine supplies its clock.
   void set_observer(obs::Tracer* tracer, std::function<SimTime()> clock);
 
-  int machine_count() const { return static_cast<int>(stores_.size()); }
-  LocalStore& store(MachineId m);
-  const LocalStore& store(MachineId m) const;
+  int machine_count() const { return machines_; }
 
   /// Registers an object with its initial copy on `home`.
   void add_object(const ObjectInfo& info, MachineId home);
@@ -178,7 +177,7 @@ class ObjectDirectory {
   /// The data version `m` last saw, or kNeverSeen.
   static std::uint64_t last_seen_of(const Entry& e, MachineId m);
 
-  std::vector<LocalStore> stores_;
+  int machines_;
   std::vector<Entry> entries_;  ///< indexed by ObjectId - 1
   obs::Tracer* tracer_ = nullptr;
   std::function<SimTime()> clock_;

@@ -13,6 +13,7 @@
 #include <signal.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -119,6 +120,13 @@ const int kSpinWrite = BodyRegistry::instance().ensure(
       t.charge(static_cast<double>(ms));
     });
 
+const int kWriteThenThrow = BodyRegistry::instance().ensure(
+    "test.write_then_throw", [](TaskContext& t, WireReader& r) {
+      const auto obj = get_ref<double>(r);
+      t.read_write(obj)[0] = -99.0;  // lands only in the worker's copy
+      throw std::runtime_error("boom after a local write");
+    });
+
 const int kReadUndeclared = BodyRegistry::instance().ensure(
     "test.read_undeclared", [](TaskContext& t, WireReader& r) {
       const auto declared = get_ref<double>(r);
@@ -149,8 +157,23 @@ cluster::ClusterEngine& cluster_of(Runtime& rt) {
   return *eng;
 }
 
-/// Runs the fan-out program (kLeaves independent readers of one source) on
-/// `cfg` and returns the output vector.
+/// The fan-out program: one independent reader of `src` per `out` element.
+void spawn_fanout(TaskContext& ctx, const SharedRef<double>& src,
+                  const std::vector<SharedRef<double>>& out) {
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    WireWriter args;
+    put_ref(args, src);
+    put_ref(args, out[k]);
+    args.put_f64(static_cast<double>(k) + 1.0);
+    cluster::spawn(ctx, kLeafSum, std::move(args), [&](AccessDecl& d) {
+      d.rd(src);
+      d.wr(out[k]);
+    });
+  }
+}
+
+/// Runs the fan-out program with `leaves` readers on `cfg` and returns the
+/// output vector.
 std::vector<double> run_fanout(const RuntimeConfig& cfg, int leaves) {
   Runtime rt(cfg);
   const std::vector<double> init = {1.0, 2.5, 4.0, -1.5};
@@ -158,18 +181,7 @@ std::vector<double> run_fanout(const RuntimeConfig& cfg, int leaves) {
   std::vector<SharedRef<double>> out;
   for (int k = 0; k < leaves; ++k)
     out.push_back(rt.alloc<double>(1, "out" + std::to_string(k)));
-  rt.run([&](TaskContext& ctx) {
-    for (int k = 0; k < leaves; ++k) {
-      WireWriter args;
-      put_ref(args, src);
-      put_ref(args, out[static_cast<std::size_t>(k)]);
-      args.put_f64(k + 1.0);
-      cluster::spawn(ctx, kLeafSum, std::move(args), [&](AccessDecl& d) {
-        d.rd(src);
-        d.wr(out[static_cast<std::size_t>(k)]);
-      });
-    }
-  });
+  rt.run([&](TaskContext& ctx) { spawn_fanout(ctx, src, out); });
   std::vector<double> result;
   for (auto& o : out) result.push_back(rt.get(o)[0]);
   return result;
@@ -393,6 +405,36 @@ TEST(ClusterEngine, DebugProbeConfirmsWorkerCopiesMatchCanonical) {
   for (auto& o : out) EXPECT_TRUE(eng.debug_probe(o.id()));
 }
 
+TEST(ClusterEngine, FailedWriterLeavesNoStaleCopyBehind) {
+  // One worker, so the rerun's reader lands where the failed writer ran.
+  Runtime rt(cluster_config(1, /*spares=*/0));
+  const std::vector<double> init = {5.0};
+  auto obj = rt.alloc_init<double>(init, "obj");
+  auto seen = rt.alloc<double>(1, "seen");
+  EXPECT_THROW(rt.run([&](TaskContext& ctx) {
+                 WireWriter args;
+                 put_ref(args, obj);
+                 cluster::spawn(ctx, kWriteThenThrow, std::move(args),
+                                [&](AccessDecl& d) { d.rd_wr(obj); });
+               }),
+               JadeError);
+  EXPECT_DOUBLE_EQ(rt.get(obj)[0], 5.0);  // no writeback reached canonical
+
+  // The worker's copy holds the failed task's write, so the reader must
+  // be shipped the canonical bytes, not reuse that copy.
+  rt.run([&](TaskContext& ctx) {
+    WireWriter args;
+    put_ref(args, obj);
+    put_ref(args, seen);
+    args.put_f64(1.0);
+    cluster::spawn(ctx, kLeafSum, std::move(args), [&](AccessDecl& d) {
+      d.rd(obj);
+      d.wr(seen);
+    });
+  });
+  EXPECT_DOUBLE_EQ(rt.get(seen)[0], 5.0);
+}
+
 TEST(ClusterEngine, SurvivesSigkilledWorker) {
   RuntimeConfig cfg = cluster_config(4, /*spares=*/2);
   cfg.cluster_proc.heartbeat_interval = 0.01;
@@ -463,6 +505,62 @@ TEST(ClusterEngine, BadOptionsRejected) {
     o.miss_threshold = 0;
     EXPECT_THROW(ClusterEngine e(o), ConfigError);
   }
+}
+
+TEST(ClusterEngine, SpawnNamingUnallocatedObjectRejected) {
+  Runtime rt(cluster_config(2, /*spares=*/0));
+  auto real = rt.alloc<double>(1, "real");
+  // A handle no allocation produced, fabricated from its wire form.
+  WireWriter forged;
+  forged.put_u64(999);
+  forged.put_u64(1);
+  const std::vector<std::byte> forged_bytes = forged.take();
+  WireReader reader(forged_bytes);
+  const auto fake = get_ref<double>(reader);
+  EXPECT_THROW(rt.run([&](TaskContext& ctx) {
+                 WireWriter args;
+                 put_ref(args, fake);
+                 args.put_f64(1.0);
+                 cluster::spawn(ctx, kSetVal, std::move(args),
+                                [&](AccessDecl& d) { d.wr(fake); });
+               }),
+               ConfigError);
+
+  // The rejection left the engine usable.
+  rt.run([&](TaskContext& ctx) {
+    WireWriter args;
+    put_ref(args, real);
+    args.put_f64(2.5);
+    cluster::spawn(ctx, kSetVal, std::move(args),
+                   [&](AccessDecl& d) { d.wr(real); });
+  });
+  EXPECT_DOUBLE_EQ(rt.get(real)[0], 2.5);
+}
+
+TEST(ClusterEngine, WireTrafficIsOneDispatchAndOneDonePerTask) {
+  // Every frame on the sockets is counted in RuntimeStats::messages.  Once
+  // the workers are up, a read fan-out needs exactly one Dispatch and one
+  // Done per task; the only other traffic is heartbeats.
+  constexpr int kLeaves = 32;
+  Runtime rt(cluster_config(2, /*spares=*/0));
+  const std::vector<double> init = {1.0, 2.5, 4.0, -1.5};
+  auto src = rt.alloc_init<double>(init, "src");
+  std::vector<SharedRef<double>> out;
+  for (int k = 0; k < kLeaves; ++k)
+    out.push_back(rt.alloc<double>(1, "out" + std::to_string(k)));
+  const auto program = [&](TaskContext& ctx) { spawn_fanout(ctx, src, out); };
+  rt.run(program);  // warm-up: fork, handshake, activation
+  // A host write makes both workers' copies of src stale: the second run
+  // ships it again, inside Dispatch frames.
+  const std::vector<double> fresh = {2.0, 2.0, 2.0, 2.0};
+  rt.put(src, std::span<const double>(fresh));
+  const std::uint64_t before = rt.stats().messages;
+  rt.run(program);
+  const RuntimeStats& s = rt.stats();
+  EXPECT_EQ(s.messages - before - s.heartbeats_sent, 2u * kLeaves);
+  for (int k = 0; k < kLeaves; ++k)
+    EXPECT_DOUBLE_EQ(rt.get(out[static_cast<std::size_t>(k)])[0],
+                     (k + 1.0) * 8.0);
 }
 
 TEST(ClusterEngine, StatsAggregateAcrossProcesses) {

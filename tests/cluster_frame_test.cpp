@@ -230,7 +230,7 @@ TEST(ClusterMessages, Done) {
   EXPECT_EQ(d.writes[1].payload, bytes_of({2, 3}));
 }
 
-TEST(ClusterMessages, TaskErrorHeartbeatCoherence) {
+TEST(ClusterMessages, TaskErrorHeartbeat) {
   TaskErrorMsg e;
   e.task = 6;
   e.code = ErrorCode::kUndeclaredAccess;
@@ -246,15 +246,6 @@ TEST(ClusterMessages, TaskErrorHeartbeatCoherence) {
   const HeartbeatMsg dhb = round_trip(hb);
   EXPECT_EQ(dhb.machine, 3);
   EXPECT_EQ(dhb.seq, 12345u);
-
-  CoherenceMsg c;
-  c.from = 1;
-  c.to = 2;
-  c.bytes = 64;
-  const CoherenceMsg dc = round_trip(c);
-  EXPECT_EQ(dc.from, 1);
-  EXPECT_EQ(dc.to, 2);
-  EXPECT_EQ(dc.bytes, 64u);
 }
 
 TEST(ClusterMessages, ObjFetchObjDataShutdown) {
@@ -284,7 +275,7 @@ std::string hex(const std::vector<std::byte>& bytes) {
   return out;
 }
 
-// One instance of each of the 18 message types, packed and compared with
+// One instance of each of the 17 message types, packed and compared with
 // its wire layout as hex.  The round-trip tests above pass for any encoder
 // and decoder that change together; a peer built from another commit still
 // expects these bytes.
@@ -347,8 +338,6 @@ TEST(ClusterMessages, GoldenBytes) {
        "06000000000000000103000000626164"},
       {"Heartbeat", pack(HeartbeatMsg{2, 9}),
        "02000000000000000900000000000000"},
-      {"Coherence", pack(CoherenceMsg{-1, 2, 64}),
-       "ffffffffffffffff02000000000000004000000000000000"},
       {"ObjFetch", pack(ObjFetchMsg{55}), "3700000000000000"},
       {"ObjData", pack(ObjDataMsg{55, bytes_of({4, 5, 6})}),
        "370000000000000003000000040506"},
@@ -395,11 +384,6 @@ TEST(ClusterMessages, OutOfRangeSignedFieldsAreProtocolError) {
   act.put_i64(k2To32 + 4);  // machines
   act.put_f64(0.025);
   EXPECT_THROW(unpack<ActivateMsg>(act.take()), ProtocolError);
-  WireWriter coh;
-  coh.put_i64(-k2To32);  // from
-  coh.put_i64(0);        // to
-  coh.put_u64(64);
-  EXPECT_THROW(unpack<CoherenceMsg>(coh.take()), ProtocolError);
 }
 
 TEST(ClusterMessages, TruncationIsProtocolError) {

@@ -86,7 +86,7 @@ TEST(DirectoryScale, ReplicationAndInvalidationAcrossTheBoundary) {
   EXPECT_EQ(dir.holders(1),
             (std::vector<MachineId>{3, 63, 64, 512, 1024, 1050, 1099}));
   EXPECT_FALSE(dir.sole_holder(1, 1050));
-  EXPECT_EQ(dir.store(1024).resident_count(), 1u);
+  EXPECT_EQ(dir.objects_on(1024).size(), 1u);
 
   // Invalidation drops every non-owner copy, ascending, and records the
   // dropped version for reuse.
@@ -156,7 +156,7 @@ TEST(DirectoryScale, ManyObjectsSpreadOverThousandMachines) {
     EXPECT_TRUE(dir.sole_holder(id, home));
   }
   std::size_t resident = 0;
-  for (int m = 0; m < 1024; ++m) resident += dir.store(m).resident_count();
+  for (int m = 0; m < 1024; ++m) resident += dir.objects_on(m).size();
   EXPECT_EQ(resident, 1000u);
 }
 

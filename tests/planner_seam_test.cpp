@@ -102,11 +102,11 @@ TEST_F(SeamTest, PlaceTaskExcludesBusyMachinesFromCandidates) {
 }
 
 TEST_F(SeamTest, SelectTaskScoresWindowAgainstMachine) {
-  const std::vector<std::vector<ObjectId>> lists = {{3}, {1}, {2}};
+  // Tasks declaring objects {3}, {1}, {2}; object 1's 800 B live on m0.
+  const std::size_t on_m0[] = {0, 800, 0};
   PlacementExplain e;
-  const std::size_t pick =
-      planner.select_task(dir, {lists, /*machine=*/0, /*locality=*/true}, &e);
-  EXPECT_EQ(pick, 1u);  // object 1's 800 B live on machine 0
+  const std::size_t pick = planner.select_task({on_m0, /*locality=*/true}, &e);
+  EXPECT_EQ(pick, 1u);
   const std::uint64_t ids[] = {10, 11, 12};
   EXPECT_EQ(format_task_select_explain(e, 0, ids),
             "chosen=11 w0 t10:bytes=0 t11:bytes=800 t12:bytes=0");

@@ -63,25 +63,29 @@ TEST_F(PolicyTest, LocalityBeatsCreatorPreference) {
   EXPECT_EQ(pick_machine_for_task(dir, objs, free, true, /*creator=*/0), 1);
 }
 
+// pick_task_for_machine scores each ready task by the declared bytes the
+// idle machine already holds; here, tasks declaring objects {3}, {1}, {2}
+// as the fixture's machines 0 and 1 would hold them.
+
 TEST_F(PolicyTest, PickTaskPrefersResidentBytes) {
-  std::vector<std::vector<ObjectId>> lists = {{3}, {1}, {2}};
-  EXPECT_EQ(pick_task_for_machine(dir, lists, /*machine=*/0, true), 1u);
-  EXPECT_EQ(pick_task_for_machine(dir, lists, /*machine=*/1, true), 2u);
+  const std::size_t on_m0[] = {0, 800, 0};
+  const std::size_t on_m1[] = {0, 0, 80};
+  EXPECT_EQ(pick_task_for_machine(on_m0, /*locality=*/true), 1u);
+  EXPECT_EQ(pick_task_for_machine(on_m1, /*locality=*/true), 2u);
 }
 
 TEST_F(PolicyTest, PickTaskFifoWhenLocalityOff) {
-  std::vector<std::vector<ObjectId>> lists = {{3}, {1}};
-  EXPECT_EQ(pick_task_for_machine(dir, lists, 0, false), 0u);
+  const std::size_t on_m0[] = {0, 800};
+  EXPECT_EQ(pick_task_for_machine(on_m0, false), 0u);
 }
 
 TEST_F(PolicyTest, PickTaskFifoOnTies) {
-  std::vector<std::vector<ObjectId>> lists = {{2}, {2}};
-  EXPECT_EQ(pick_task_for_machine(dir, lists, 1, true), 0u);
+  const std::size_t on_m1[] = {80, 80};
+  EXPECT_EQ(pick_task_for_machine(on_m1, true), 0u);
 }
 
 TEST_F(PolicyTest, EmptyReadyListReturnsSentinel) {
-  std::vector<std::vector<ObjectId>> lists;
-  EXPECT_EQ(pick_task_for_machine(dir, lists, 0, true),
+  EXPECT_EQ(pick_task_for_machine({}, true),
             std::numeric_limits<std::size_t>::max());
 }
 

@@ -1,5 +1,5 @@
 // Tests for the distributed object store: directory state transitions
-// (move/copy/invalidate), local-store accounting, locality queries.
+// (move/copy/invalidate), per-machine resident accounting, locality queries.
 #include <gtest/gtest.h>
 
 #include "jade/store/directory.hpp"
@@ -27,8 +27,8 @@ TEST_F(DirectoryTest, InitialPlacement) {
   EXPECT_TRUE(dir.present(1, 0));
   EXPECT_FALSE(dir.present(1, 1));
   EXPECT_EQ(dir.object_bytes(1), 80u);
-  EXPECT_EQ(dir.store(0).resident_bytes(), 80u);
-  EXPECT_EQ(dir.store(1).resident_bytes(), 40u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(0), 0), 80u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(1), 1), 40u);
   EXPECT_EQ(dir.version(1), 0u);
 }
 
@@ -39,7 +39,7 @@ TEST_F(DirectoryTest, ReplicationKeepsOwner) {
   EXPECT_TRUE(dir.present(1, 2));
   EXPECT_TRUE(dir.present(1, 3));
   EXPECT_EQ(dir.holders(1), (std::vector<MachineId>{0, 2, 3}));
-  EXPECT_EQ(dir.store(2).resident_bytes(), 80u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(2), 2), 80u);
   EXPECT_EQ(dir.version(1), 0u);  // copies don't bump the version
 }
 
@@ -51,7 +51,7 @@ TEST_F(DirectoryTest, MoveInvalidatesReplicas) {
   EXPECT_EQ(dir.owner(1), 3);
   EXPECT_EQ(dir.holders(1), (std::vector<MachineId>{3}));
   EXPECT_FALSE(dir.present(1, 0));
-  EXPECT_EQ(dir.store(0).resident_bytes(), 0u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(0), 0), 0u);
   EXPECT_EQ(dir.version(1), 1u);
 }
 
@@ -68,7 +68,7 @@ TEST_F(DirectoryTest, MoveToReplicaHolder) {
   dir.move_to(1, 2);
   EXPECT_EQ(dir.owner(1), 2);
   EXPECT_EQ(dir.holders(1), (std::vector<MachineId>{2}));
-  EXPECT_EQ(dir.store(2).resident_bytes(), 80u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(2), 2), 80u);
 }
 
 TEST_F(DirectoryTest, DataBufferPersistsAcrossMoves) {
@@ -96,25 +96,6 @@ TEST_F(DirectoryTest, UnknownObjectIsError) {
   EXPECT_THROW(dir.owner(99), InternalError);
   EXPECT_FALSE(dir.known(99));
   EXPECT_TRUE(dir.known(1));
-}
-
-TEST(LocalStore, InsertEvictAccounting) {
-  LocalStore s(2);
-  s.insert(1, 100);
-  s.insert(2, 50);
-  EXPECT_TRUE(s.resident(1));
-  EXPECT_EQ(s.resident_bytes(), 150u);
-  EXPECT_EQ(s.resident_count(), 2u);
-  s.evict(1, 100);
-  EXPECT_FALSE(s.resident(1));
-  EXPECT_EQ(s.resident_bytes(), 50u);
-  EXPECT_EQ(s.inserts(), 2u);
-  EXPECT_EQ(s.evictions(), 1u);
-}
-
-TEST(LocalStore, EvictingAbsentObjectIsError) {
-  LocalStore s(0);
-  EXPECT_THROW(s.evict(7, 10), InternalError);
 }
 
 TEST(Directory, MachineCountLimits) {
@@ -167,7 +148,7 @@ TEST_F(DirectoryTest, RevalidateRestoresReplica) {
   dir.revalidate_to(1, 2);
   EXPECT_TRUE(dir.present(1, 2));
   EXPECT_FALSE(dir.reusable(1, 2));  // present again
-  EXPECT_EQ(dir.store(2).resident_bytes(), 80u);
+  EXPECT_EQ(dir.bytes_present(dir.objects_on(2), 2), 80u);
   EXPECT_EQ(dir.owner(1), 0);  // revalidation never moves ownership
 }
 
