@@ -6,8 +6,8 @@
 namespace jade {
 
 namespace {
-/// Thrown inside a process thread to unwind its stack when the simulation
-/// tears down while the process is parked.  Never escapes thread_main.
+/// Thrown inside a process to unwind its stack when the simulation tears
+/// down or aborts it while it is parked.  Never escapes Process::run_body.
 struct ProcessAborted : EngineUnwind {};
 }  // namespace
 
@@ -15,64 +15,38 @@ Process::Process(Simulation* sim, std::string name,
                  std::function<void()> body)
     : sim_(sim), name_(std::move(name)), body_(std::move(body)) {}
 
-Process::~Process() { join(); }
-
 void Process::start() {
   JADE_ASSERT(state_ == State::kCreated);
-  thread_ = std::thread([this] { thread_main(); });
-  // The thread begins life "parked" at its initial wait; hand control over.
+  fiber_ = sim_->fibers_.acquire(&Process::run_body, this);
   run_until_parked();
 }
 
-void Process::thread_main() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return go_; });
-    go_ = false;
-    ++epoch_;
-    state_ = State::kRunning;
-  }
+void Process::run_body(void* self) {
+  auto* p = static_cast<Process*>(self);
+  ++p->epoch_;
+  p->state_ = State::kRunning;
   try {
-    body_();
+    p->body_();
   } catch (const ProcessAborted&) {
     // Cooperative teardown: nothing to record.
   } catch (...) {
-    error_ = std::current_exception();
+    p->error_ = std::current_exception();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_ = State::kDone;
-    yielded_ = true;
-  }
-  cv_.notify_all();
+  p->state_ = State::kDone;
 }
 
 void Process::run_until_parked() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    JADE_ASSERT(state_ == State::kCreated || state_ == State::kParked);
-    go_ = true;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return yielded_; });
-  yielded_ = false;
+  JADE_ASSERT(state_ == State::kCreated || state_ == State::kParked);
+  fiber_->resume();
+  if (state_ == State::kDone) sim_->fibers_.release(std::move(fiber_));
 }
 
 void Process::park() {
-  std::unique_lock<std::mutex> lock(mutex_);
   state_ = State::kParked;
-  yielded_ = true;
-  cv_.notify_all();
-  cv_.wait(lock, [this] { return go_; });
-  go_ = false;
+  fiber_->suspend();
   ++epoch_;
   if (sim_->tearing_down() || abort_requested_) throw ProcessAborted{};
   state_ = State::kRunning;
-}
-
-void Process::join() {
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace jade

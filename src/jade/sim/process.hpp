@@ -3,20 +3,20 @@
 // SimEngine must let an *unmodified* task body pause in virtual time in the
 // middle of its execution — that is exactly what a `with-cont` that converts
 // a deferred right does (Section 4.2).  C++ cannot suspend a plain function,
-// so each simulated activity runs on its own OS thread, with a strict
-// handoff protocol guaranteeing that at most one thread (either the
-// simulation coordinator or a single process) runs at any instant.  The
-// result behaves like coroutines with full stacks: deterministic, and host
-// parallelism plays no role in the simulated timing.
+// so each simulated activity runs on its own fiber (support/fiber.hpp): a
+// full stack, switched on the thread that runs the simulation.  Exactly one
+// context runs at any instant (the coordinator or a single process), and
+// control changes hands only at spawn, park and resume, so the result is
+// deterministic and host parallelism plays no role in the simulated timing.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 
+#include "jade/support/fiber.hpp"
 #include "jade/support/time.hpp"
 
 namespace jade {
@@ -28,14 +28,13 @@ class Simulation;
 class Process {
  public:
   enum class State : std::uint8_t {
-    kCreated,   ///< thread not yet started
+    kCreated,   ///< body not yet started
     kRunning,   ///< owns the simulation (coordinator is waiting)
     kParked,    ///< waiting to be resumed
-    kDone,      ///< body returned; thread joined or joinable
+    kDone,      ///< body returned; its fiber is back in the pool
   };
 
   Process(Simulation* sim, std::string name, std::function<void()> body);
-  ~Process();
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -54,31 +53,27 @@ class Process {
  private:
   friend class Simulation;
 
-  /// Starts the underlying thread and runs the body until it first parks or
-  /// finishes.  Called by the coordinator.
+  /// Borrows a fiber from the simulation's pool and runs the body until it
+  /// first parks or finishes.  Called by the coordinator.
   void start();
 
-  /// Hands control to this (parked) process until it parks again or
-  /// finishes.  Called by the coordinator.
+  /// Hands control to this (created or parked) process until it parks
+  /// again or finishes; a finished process returns its fiber to the pool.
+  /// Called by the coordinator, or by a process aborting this one.
   void run_until_parked();
 
-  /// Called from inside the process: yields control back to the coordinator
-  /// and blocks until resumed.
+  /// Called from inside the process: yields control back to whoever ran
+  /// it and returns when resumed.
   void park();
 
-  void thread_main();
-  void join();
+  /// The fiber's entry: runs the body and records how it ended.
+  static void run_body(void* self);
 
   Simulation* sim_;
   std::string name_;
   std::function<void()> body_;
-  std::thread thread_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
+  std::unique_ptr<Fiber> fiber_;  ///< held from start() until the body ends
   State state_ = State::kCreated;
-  bool go_ = false;          ///< process may run
-  bool yielded_ = false;     ///< process has handed control back
   bool abort_requested_ = false;  ///< next unpark unwinds instead of running
   bool abandoned_ = false;        ///< scheduled events for this process no-op
   std::uint64_t epoch_ = 0;

@@ -15,8 +15,6 @@ Simulation::~Simulation() {
   for (auto& p : processes_) {
     if (p->state() == Process::State::kParked) p->run_until_parked();
   }
-  // Threads for kCreated processes were never launched; ~Process joins the
-  // rest.
 }
 
 void Simulation::schedule(SimTime t, std::function<void()> fn) {
@@ -75,7 +73,7 @@ void Simulation::abort(Process* p) {
   JADE_ASSERT_MSG(p != current_, "a process cannot abort itself");
   switch (p->state()) {
     case Process::State::kCreated:
-      p->abandoned_ = true;  // thread never launched; spawn event no-ops
+      p->abandoned_ = true;  // never started; its spawn event no-ops
       break;
     case Process::State::kParked:
       p->abort_requested_ = true;
@@ -100,9 +98,6 @@ void Simulation::run_process(Process* p) {
     first_error_ = p->error_;
     p->error_ = nullptr;
   }
-  // Reap finished processes promptly: long simulations spawn one process
-  // per task, and unjoined threads hold kernel resources until joined.
-  if (p->state() == Process::State::kDone) p->join();
 }
 
 void Simulation::run() {
@@ -115,6 +110,14 @@ void Simulation::run() {
     ++events_executed_;
   }
   running_ = false;
+  // Free every process that is not parked (finished, or aborted before it
+  // started), but only once the queue is empty: until then a queued spawn
+  // or resume may still point at one.
+  if (queue_.empty()) {
+    std::erase_if(processes_, [](const std::unique_ptr<Process>& p) {
+      return p->state() != Process::State::kParked;
+    });
+  }
   if (first_error_) {
     auto err = first_error_;
     first_error_ = nullptr;

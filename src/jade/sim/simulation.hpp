@@ -1,11 +1,11 @@
 // The discrete-event simulation coordinator.
 //
-// Owns the virtual clock, the event queue and all processes.  Exactly one
-// thread runs at a time: the coordinator pops events in (time, sequence)
-// order; an event is either a plain callback or a "resume process P" action,
-// which hands control to P's thread until P parks again.  Because scheduling
-// order is deterministic and host threads never run concurrently, an entire
-// simulation is a deterministic function of its inputs.
+// Owns the virtual clock, the event queue and all processes.  Everything
+// runs on the thread that calls run(): the coordinator pops events in
+// (time, sequence) order; an event is either a plain callback or a "resume
+// process P" action, which switches to P's fiber until P parks again.
+// Because scheduling order is deterministic and only one context runs at a
+// time, an entire simulation is a deterministic function of its inputs.
 #pragma once
 
 #include <functional>
@@ -30,14 +30,15 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedules a plain event.  Callable from the coordinator or from inside
-  /// a process (the handoff protocol makes this race-free).
+  /// a process.
   void schedule(SimTime t, std::function<void()> fn);
   void schedule_in(SimTime dt, std::function<void()> fn) {
     schedule(now_ + dt, std::move(fn));
   }
 
   /// Creates a process whose body starts running at time `at` (default: now).
-  /// The body runs on its own thread under the cooperative handoff protocol.
+  /// The body runs on a fiber borrowed from this simulation's pool from its
+  /// first run until it finishes.
   Process* spawn(std::string name, std::function<void()> body);
   Process* spawn_at(SimTime at, std::string name, std::function<void()> body);
 
@@ -75,6 +76,11 @@ class Simulation {
   /// diagnostics and by tests.
   std::size_t parked_count() const;
 
+  /// Number of processes the simulation still holds.  A run() that drains
+  /// its queue frees every process that is not parked, so afterwards only
+  /// stalled ones remain.
+  std::size_t process_count() const { return processes_.size(); }
+
   /// Total events executed; a cheap progress / cost metric for benches.
   std::uint64_t events_executed() const { return events_executed_; }
 
@@ -85,13 +91,14 @@ class Simulation {
  private:
   friend class Process;
 
-  /// Hands control to `p` (starting its thread on first use) until it parks
-  /// or finishes, stashing any exception that escaped its body.
+  /// Hands control to `p` (starting it on first use) until it parks or
+  /// finishes, stashing any exception that escaped its body.
   void run_process(Process* p);
 
   EventQueue queue_;
   SimTime now_ = 0;
   Process* current_ = nullptr;
+  FiberPool fibers_;  ///< declared before processes_, which borrow from it
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint64_t events_executed_ = 0;
   bool running_ = false;

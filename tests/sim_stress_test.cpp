@@ -1,5 +1,5 @@
 // Stress and property tests for the discrete-event kernel: heavy process
-// churn (thread reaping), randomized timer programs checked against a
+// churn (fiber recycling), randomized timer programs checked against a
 // host-side model, and producer/consumer chains through park/resume.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@ namespace {
 
 TEST(SimStress, ThousandsOfShortLivedProcesses) {
   // One process per "task", like SimEngine under a large program; finished
-  // threads must be reaped, not accumulated.
+  // processes must hand their fibers back, not accumulate stacks.
   Simulation sim;
   int completed = 0;
   for (int i = 0; i < 5000; ++i) {

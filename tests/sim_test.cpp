@@ -1,7 +1,12 @@
 // Tests for the discrete-event kernel: event ordering, virtual time,
 // cooperative processes, determinism and deadlock detection.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -208,6 +213,111 @@ TEST(Simulation, AdvanceZeroIsImmediateButYields) {
   sim.run();
   // advance(0) reschedules at the same time, behind b's start event.
   EXPECT_EQ(log, (std::vector<std::string>{"a-pre", "b", "a-post"}));
+}
+
+TEST(Simulation, DrainedRunsFreeEveryFinishedProcess) {
+  // SimEngine keeps one Simulation for the engine's whole life and runs it
+  // once per program, so finished processes must not pile up across runs.
+  Simulation sim;
+  int finished = 0;
+  for (int run = 0; run < 200; ++run) {
+    for (int i = 0; i < 48; ++i) {
+      sim.spawn("short", [&sim, &finished, i] {
+        sim.advance((i % 5) * 1e-3);
+        ++finished;
+      });
+    }
+    // An aborted process whose resume is still queued: the resume pops
+    // after the abort and must find the process alive.
+    Process* victim = sim.spawn("victim", [&sim] { sim.advance(1.0); });
+    sim.spawn("killer", [&sim, victim] {
+      sim.advance(0.5);
+      sim.abort(victim);
+    });
+    sim.run();
+    EXPECT_EQ(sim.process_count(), 0u) << "after run " << run;
+  }
+  EXPECT_EQ(finished, 200 * 48);
+}
+
+TEST(Simulation, EachProcessRethrowsItsOwnException) {
+  // Both processes park inside a catch block, so both exceptions are in
+  // flight at once; each `throw;` must rethrow the process's own.
+  Simulation sim;
+  std::string a_saw, b_saw;
+  auto body = [&sim](const char* mine, std::string* saw) {
+    return [&sim, mine, saw] {
+      try {
+        throw std::runtime_error(mine);
+      } catch (...) {
+        sim.advance(1.0);
+        try {
+          throw;
+        } catch (const std::runtime_error& e) {
+          *saw = e.what();
+        }
+      }
+    };
+  };
+  sim.spawn("a", body("A", &a_saw));
+  sim.spawn("b", body("B", &b_saw));
+  sim.run();
+  EXPECT_EQ(a_saw, "A");
+  EXPECT_EQ(b_saw, "B");
+}
+
+// A value on the parked process's stack that the overflowing process must
+// never reach.
+volatile std::uint64_t* parked_canary = nullptr;
+constexpr std::uint64_t kCanary = 0x5ca1ab1e5ca1ab1eULL;
+
+// Recurses, filling a 4 KiB frame per level, until `stop` (never, here).
+int recurse_deeply(int depth, int stop) {
+  volatile char frame[4096];
+  for (volatile char& c : frame) c = static_cast<char>(depth);
+  if (depth == stop) return frame[0];
+  return recurse_deeply(depth + 1, stop) + frame[0];
+}
+
+// Runs on an alternate stack when the overflow faults.  An intact canary
+// restores the default action, so the fault repeats and kills the process;
+// a clobbered one exits cleanly, which EXPECT_DEATH reports as a failure.
+void check_canary_on_fault(int) {
+  if (*parked_canary != kCanary) _exit(0);
+  struct sigaction dfl = {};
+  dfl.sa_handler = SIG_DFL;
+  sigaction(SIGSEGV, &dfl, nullptr);
+}
+
+TEST(SimulationDeathTest, StackOverflowHitsTheGuardPage) {
+  // "deep" borrows its fiber first, so mmap usually places its stack just
+  // above the one "parked" borrows next; an overflow must fault on the
+  // guard between them instead of running on into the parked frames.
+  EXPECT_DEATH(
+      {
+        static char alt_stack[1 << 16];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof alt_stack;
+        sigaltstack(&ss, nullptr);
+        struct sigaction on_fault = {};
+        on_fault.sa_handler = check_canary_on_fault;
+        on_fault.sa_flags = SA_ONSTACK;
+        sigaction(SIGSEGV, &on_fault, nullptr);
+
+        Simulation sim;
+        sim.spawn("deep", [&sim] {
+          sim.advance(0.5);
+          recurse_deeply(0, std::numeric_limits<int>::max());
+        });
+        sim.spawn("parked", [&sim] {
+          volatile std::uint64_t canary = kCanary;
+          parked_canary = &canary;
+          sim.advance(1.0);
+        });
+        sim.run();
+      },
+      "");
 }
 
 }  // namespace
