@@ -19,9 +19,7 @@ jade::ClusterConfig with_net(jade::ClusterConfig base, jade::NetKind net) {
   base.net = net;
   // Equalize link parameters so ONLY the topology differs: same startup,
   // per-hop latency and link bandwidth for mesh and hypercube.
-  base.mesh.startup = base.cube.startup;
-  base.mesh.per_hop = base.cube.per_hop;
-  base.mesh.bytes_per_second = base.cube.bytes_per_second;
+  base.mesh = base.cube;
   return base;
 }
 

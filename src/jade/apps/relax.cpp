@@ -152,12 +152,6 @@ double relax_checksum(const RelaxState& state) {
   return acc;
 }
 
-double relax_step_work(const RelaxConfig& config) {
-  return static_cast<double>(config.rows - 2) * config.cols *
-             config.flops_per_cell +
-         2.0 * config.cols;
-}
-
 JadeRelax upload_relax(Runtime& rt, const RelaxConfig& config,
                        const RelaxState& state) {
   JADE_ASSERT(state.rows == config.rows && state.cols == config.cols);

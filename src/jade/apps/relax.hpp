@@ -73,9 +73,6 @@ double relax_residual(const RelaxState& state);
 
 double relax_checksum(const RelaxState& state);
 
-/// Total charge() units one sweep issues.
-double relax_step_work(const RelaxConfig& config);
-
 /// Shared objects: two row-major buffers per strip (double-buffered sweeps).
 struct JadeRelax {
   RelaxConfig config;

@@ -52,7 +52,7 @@ ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
   if (options_.miss_threshold < 1)
     throw ConfigError("cluster miss_threshold must be at least 1");
   serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return objects_.info(obj).tenant; });
+      [this](ObjectId obj) { return object_info(obj).tenant; });
   // A worker can die with coordinator frames still queued toward it.
   ::signal(SIGPIPE, SIG_IGN);
 }
@@ -176,46 +176,34 @@ int ClusterEngine::slot_of_machine(MachineId m) const {
   return -1;
 }
 
-// --- Engine: objects --------------------------------------------------------
+// --- Engine: object bytes ---------------------------------------------------
 
 // Objects have no home: every canonical buffer lives in the coordinator,
 // and a worker holds a copy only once a grant has shipped it one.
-ObjectId ClusterEngine::allocate(TypeDescriptor type, std::string name,
-                                 MachineId /*home*/) {
+void ClusterEngine::create_storage(const ObjectInfo& info,
+                                   MachineId /*home*/) {
   std::lock_guard<std::mutex> lock(mu_);
-  const ObjectId id = objects_.add(type, std::move(name));
-  ObjectData& d = data_.emplace_back();
-  d.bytes.assign(objects_.info(id).byte_size(), std::byte{0});
-  d.shipped.assign(static_cast<std::size_t>(options_.workers), 0);
-  return id;
+  // Racing allocations can land out of id order, so a gap's entry gets its
+  // per-worker versions now and its bytes when its own call arrives.
+  const auto workers = static_cast<std::size_t>(options_.workers);
+  while (data_.size() < info.id)
+    data_.emplace_back().shipped.assign(workers, 0);
+  data_[info.id - 1].bytes.assign(info.byte_size(), std::byte{0});
 }
 
-void ClusterEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
+void ClusterEngine::write_storage(ObjectId obj,
+                                  std::span<const std::byte> data) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!known_locked(obj))
-    throw ConfigError("put_bytes on unknown object " + std::to_string(obj));
-  ObjectData& d = data_[obj - 1];
-  if (data.size() != d.bytes.size())
-    throw ConfigError("put_bytes size mismatch on object " +
-                      std::to_string(obj));
+  ObjectData& d = object_locked(obj);
   std::memcpy(d.bytes.data(), data.data(), data.size());
   // The data version advances, so every worker's shipped copy goes stale
   // and the next dispatch re-ships the payload.
   ++d.version;
 }
 
-std::vector<std::byte> ClusterEngine::get_bytes(ObjectId obj) {
+std::vector<std::byte> ClusterEngine::read_storage(ObjectId obj) {
   std::lock_guard<std::mutex> lock(mu_);
   return object_locked(obj).bytes;
-}
-
-const ObjectInfo& ClusterEngine::object_info(ObjectId obj) const {
-  return objects_.info(obj);
-}
-
-void ClusterEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  objects_.set_tenant(obj, tenant);
 }
 
 // --- Engine: execution ------------------------------------------------------

@@ -60,12 +60,6 @@ class ClusterEngine : public Engine,
   ClusterEngine& operator=(const ClusterEngine&) = delete;
 
   // --- Engine --------------------------------------------------------------
-  ObjectId allocate(TypeDescriptor type, std::string name,
-                    MachineId home) override;
-  void put_bytes(ObjectId obj, std::span<const std::byte> data) override;
-  std::vector<std::byte> get_bytes(ObjectId obj) override;
-  const ObjectInfo& object_info(ObjectId obj) const override;
-  void set_object_tenant(ObjectId obj, TenantId tenant) override;
   void run(std::function<void(TaskContext&)> root_body) override;
   void spawn(TaskNode* parent, const std::vector<AccessRequest>& requests,
              TaskContext::BodyFn body, std::string name, MachineId placement,
@@ -188,6 +182,11 @@ class ClusterEngine : public Engine,
   void refuse_locked(Channel& ch, PendingRpc::Kind kind, TaskNode* task,
                      ObjectId obj, const std::exception& why);
 
+  // --- Engine: object bytes (each takes mu_) -------------------------------
+  void create_storage(const ObjectInfo& info, MachineId home) override;
+  void write_storage(ObjectId obj, std::span<const std::byte> data) override;
+  std::vector<std::byte> read_storage(ObjectId obj) override;
+
   // --- data movement (mu_ held) --------------------------------------------
   bool known_locked(ObjectId obj) const;
   /// `obj`'s entry; asserts that the coordinator allocated it.
@@ -227,7 +226,6 @@ class ClusterEngine : public Engine,
   /// (docs/MODEL.md); defaults to the shared HeuristicPlanner.
   std::shared_ptr<const model::Planner> planner_;
   Serializer serializer_;
-  ObjectTable objects_;
   CommuteTokenTable tokens_;
   ThrottleGate throttle_;
   std::unique_ptr<FailureDetector> detector_;

@@ -31,12 +31,6 @@ const RegisteredBody& BodyRegistry::body(int index) const {
   return entries_[static_cast<std::size_t>(index)].body;
 }
 
-const std::string& BodyRegistry::name(int index) const {
-  if (index < 0 || index >= size())
-    throw ConfigError("unknown registered body index " + std::to_string(index));
-  return entries_[static_cast<std::size_t>(index)].name;
-}
-
 void spawn(TaskContext& ctx, int body, WireWriter args,
            const TaskContext::SpecFn& spec, std::string name,
            MachineId placement) {
@@ -63,15 +57,6 @@ void spawn(TaskContext& ctx, int body, WireWriter args,
   };
   ctx.engine().spawn(ctx.node(), decl.requests(), std::move(closure),
                      std::move(name), placement);
-}
-
-void spawn(TaskContext& ctx, const std::string& body_name, WireWriter args,
-           const TaskContext::SpecFn& spec, std::string name,
-           MachineId placement) {
-  const int body = BodyRegistry::instance().find(body_name);
-  if (body < 0)
-    throw ConfigError("no registered body named '" + body_name + "'");
-  spawn(ctx, body, std::move(args), spec, std::move(name), placement);
 }
 
 }  // namespace jade::cluster

@@ -46,7 +46,6 @@ class BodyRegistry {
   int find(const std::string& name) const;
 
   const RegisteredBody& body(int index) const;
-  const std::string& name(int index) const;
   int size() const { return static_cast<int>(entries_.size()); }
 
  private:
@@ -98,11 +97,6 @@ SharedRef<T> get_ref(WireReader& r) {
 /// engine gets a closure that re-decodes the same blob, preserving identical
 /// semantics (and letting SerialEngine verify cluster programs).
 void spawn(TaskContext& ctx, int body, WireWriter args,
-           const TaskContext::SpecFn& spec, std::string name = "",
-           MachineId placement = -1);
-
-/// Name-based convenience (looks the body up, throws ConfigError if absent).
-void spawn(TaskContext& ctx, const std::string& body_name, WireWriter args,
            const TaskContext::SpecFn& spec, std::string name = "",
            MachineId placement = -1);
 

@@ -108,20 +108,16 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
 
   // --- Engine interface ----------------------------------------------------
 
-  ObjectId allocate(TypeDescriptor, std::string, MachineId) override {
+  // Objects live in the coordinator and a worker allocates none, so Engine's
+  // checks already reject host-side object calls; these hooks refuse too.
+  void create_storage(const ObjectInfo&, MachineId) override {
     throw ConfigError("cluster tasks cannot allocate shared objects");
   }
-  void put_bytes(ObjectId, std::span<const std::byte>) override {
+  void write_storage(ObjectId, std::span<const std::byte>) override {
     throw ConfigError("put_bytes is host-side only");
   }
-  std::vector<std::byte> get_bytes(ObjectId) override {
+  std::vector<std::byte> read_storage(ObjectId) override {
     throw ConfigError("get_bytes is host-side only");
-  }
-  const ObjectInfo& object_info(ObjectId) const override {
-    throw ConfigError("object_info is unavailable inside a cluster worker");
-  }
-  void set_object_tenant(ObjectId, TenantId) override {
-    throw ConfigError("tenants are host-side only");
   }
   void run(std::function<void(TaskContext&)>) override {
     throw ConfigError("run() is host-side only");

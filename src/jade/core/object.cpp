@@ -1,6 +1,6 @@
 #include "jade/core/object.hpp"
 
-#include <vector>
+#include <utility>
 
 #include "jade/support/error.hpp"
 
@@ -21,6 +21,11 @@ const ObjectInfo& ObjectTable::info(ObjectId id) const {
 void ObjectTable::set_tenant(ObjectId id, TenantId tenant) {
   JADE_ASSERT_MSG(valid(id), "unknown shared object id");
   infos_[id - 1].tenant = tenant;
+}
+
+bool ObjectTable::release(ObjectId id) {
+  JADE_ASSERT_MSG(valid(id), "unknown shared object id");
+  return !std::exchange(infos_[id - 1].released, true);
 }
 
 }  // namespace jade

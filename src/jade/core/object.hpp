@@ -82,14 +82,17 @@ struct ObjectInfo {
   /// Tenant tasks may only declare accesses to their own or shared objects;
   /// the serializer enforces this at task creation.
   TenantId tenant = kSharedTenant;
+  /// Its bytes were released (Engine::release_object); the id stays taken,
+  /// so a stale reference fails instead of aliasing a newer object.
+  bool released = false;
 
   std::size_t byte_size() const { return type.byte_size(); }
 };
 
-/// Dense registry of shared-object metadata; engines embed one.  Stored in
-/// a deque so `info()` references stay valid while other threads allocate
-/// (ThreadEngine tasks may allocate mid-run; callers synchronize `add`, but
-/// references previously handed out must never move).
+/// Dense registry of shared-object metadata; Engine owns the one each engine
+/// uses.  Stored in a deque so `info()` references stay valid while other
+/// threads allocate (ThreadEngine tasks may allocate mid-run; callers
+/// synchronize `add`, but references previously handed out must never move).
 class ObjectTable {
  public:
   ObjectId add(TypeDescriptor type, std::string name);
@@ -100,6 +103,9 @@ class ObjectTable {
   /// Tags an object with its owning tenant (server sessions call this right
   /// after allocation, before the object can appear in any declaration).
   void set_tenant(ObjectId id, TenantId tenant);
+
+  /// Marks an object released; false when it already was.
+  bool release(ObjectId id);
 
  private:
   std::deque<ObjectInfo> infos_;

@@ -115,7 +115,6 @@ class Runtime {
   /// Host-side write of an object's contents (outside run()).
   template <typename T>
   void put(const SharedRef<T>& ref, std::span<const T> data) {
-    JADE_ASSERT(data.size() == ref.count());
     engine_->put_bytes(ref.id(),
                        {reinterpret_cast<const std::byte*>(data.data()),
                         data.size() * sizeof(T)});

@@ -1,10 +1,69 @@
-// Engine is an interface; shared helpers live here.
+// Engine is an interface; the object space and shared helpers live here.
 #include "jade/engine/engine.hpp"
 
 #include "jade/core/tenant.hpp"
 #include "jade/support/error.hpp"
 
 namespace jade {
+
+// --- objects ---------------------------------------------------------------
+
+const ObjectInfo& Engine::checked(ObjectId obj, const char* op,
+                                  bool live) const {
+  std::lock_guard<std::mutex> lock(objects_mu_);
+  if (!objects_.valid(obj))
+    throw ConfigError(std::string(op) + " on unknown object " +
+                      std::to_string(obj));
+  // Deque-backed: the entry stays put after the unlock.
+  const ObjectInfo& info = objects_.info(obj);
+  if (live && info.released)
+    throw ConfigError(std::string(op) + " on released object " +
+                      std::to_string(obj) + " ('" + info.name + "')");
+  return info;
+}
+
+ObjectId Engine::allocate(TypeDescriptor type, std::string name,
+                          MachineId home) {
+  std::unique_lock<std::mutex> lock(objects_mu_);
+  const ObjectInfo& info =
+      objects_.info(objects_.add(std::move(type), std::move(name)));
+  lock.unlock();
+  create_storage(info, home);
+  return info.id;
+}
+
+void Engine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
+  if (data.size() != checked(obj, "put_bytes", true).byte_size())
+    throw ConfigError("put_bytes size mismatch on object " +
+                      std::to_string(obj));
+  write_storage(obj, data);
+}
+
+std::vector<std::byte> Engine::get_bytes(ObjectId obj) {
+  checked(obj, "get_bytes", true);
+  return read_storage(obj);
+}
+
+const ObjectInfo& Engine::object_info(ObjectId obj) const {
+  return checked(obj, "object_info", false);
+}
+
+void Engine::set_object_tenant(ObjectId obj, TenantId tenant) {
+  checked(obj, "set_object_tenant", false);
+  std::lock_guard<std::mutex> lock(objects_mu_);
+  objects_.set_tenant(obj, tenant);
+}
+
+void Engine::release_object(ObjectId obj) {
+  checked(obj, "release_object", false);
+  {
+    std::lock_guard<std::mutex> lock(objects_mu_);
+    if (!objects_.release(obj)) return;
+  }
+  free_storage(obj);
+}
+
+// --- task bodies -----------------------------------------------------------
 
 void Engine::run_body(TaskNode* task) {
   TaskContext ctx(this, task);

@@ -16,11 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "jade/core/access.hpp"
 #include "jade/core/object.hpp"
@@ -52,32 +52,35 @@ class Engine {
   virtual ~Engine() = default;
 
   // --- objects -------------------------------------------------------------
+  // One object space for every engine: the id table and every check on a
+  // caller's object arguments live here; each engine supplies only the byte
+  // storage (the hooks below).  Caller misuse — an unknown id (0 included),
+  // a size mismatch, the bytes of a released object — raises ConfigError.
 
   /// Creates a shared object (zero-initialized).  `home` places the initial
   /// copy on a specific simulated machine (-1: engine's default placement,
   /// round-robin in SimEngine).  Legal before run() and from inside tasks.
-  virtual ObjectId allocate(TypeDescriptor type, std::string name,
-                            MachineId home) = 0;
+  ObjectId allocate(TypeDescriptor type, std::string name, MachineId home);
 
   /// Host-side initialization before run() (or between runs).
-  virtual void put_bytes(ObjectId obj, std::span<const std::byte> data) = 0;
+  void put_bytes(ObjectId obj, std::span<const std::byte> data);
 
   /// Host-side readback after run().
-  virtual std::vector<std::byte> get_bytes(ObjectId obj) = 0;
+  std::vector<std::byte> get_bytes(ObjectId obj);
 
-  virtual const ObjectInfo& object_info(ObjectId obj) const = 0;
+  const ObjectInfo& object_info(ObjectId obj) const;
 
   /// Tags an object with its owning tenant (see ObjectTable::set_tenant).
   /// Server sessions call this right after allocate(), before the object can
   /// appear in any declaration.
-  virtual void set_object_tenant(ObjectId obj, TenantId tenant) = 0;
+  void set_object_tenant(ObjectId obj, TenantId tenant);
 
   /// Releases an object's byte storage after its owner is torn down (server
-  /// teardown path).  The id stays allocated — metadata remains so stale
-  /// references fail loudly — but the bytes are freed.  Engines that keep no
-  /// erasable storage may ignore it; callers must guarantee no live task
-  /// still declares the object.
-  virtual void release_object(ObjectId obj) { (void)obj; }
+  /// teardown path).  The id stays allocated — metadata remains, and
+  /// get_bytes/put_bytes of it raise ConfigError — but engines with erasable
+  /// storage free the bytes.  Callers must guarantee no live task still
+  /// declares the object.
+  void release_object(ObjectId obj);
 
   // --- execution -----------------------------------------------------------
 
@@ -132,6 +135,23 @@ class Engine {
   const obs::TraceRecorder* trace() const { return recorder_.get(); }
 
  protected:
+  // --- byte storage: one implementation per engine -------------------------
+  // Called after the argument checks, without the table lock held.  Racing
+  // allocations may create ids out of order.
+
+  /// Makes zero-filled storage for a new object.
+  virtual void create_storage(const ObjectInfo& info, MachineId home) = 0;
+  /// Overwrites a live object's bytes; `data` has its exact size.
+  virtual void write_storage(ObjectId obj,
+                             std::span<const std::byte> data) = 0;
+  virtual std::vector<std::byte> read_storage(ObjectId obj) = 0;
+  /// Frees a released object's bytes; by default they are kept.
+  virtual void free_storage(ObjectId obj) { (void)obj; }
+
+  /// The table without its lock, for an engine whose object calls all come
+  /// from one thread (SimEngine hands it to its coherence protocol).
+  const ObjectTable& objects() const { return objects_; }
+
   /// The tracer's clock: virtual time in SimEngine, wall/logical time in
   /// the real engines.  Only consulted while tracing is enabled.
   virtual SimTime trace_now() const { return 0; }
@@ -160,6 +180,15 @@ class Engine {
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceRecorder> recorder_;
+
+ private:
+  /// `obj`'s entry; ConfigError naming `op` when the id is unknown, or when
+  /// `live` and the object was released.
+  const ObjectInfo& checked(ObjectId obj, const char* op, bool live) const;
+
+  /// Leaf lock (the tenant oracles take it under an engine's own mutex).
+  mutable std::mutex objects_mu_;
+  ObjectTable objects_;
 };
 
 }  // namespace jade

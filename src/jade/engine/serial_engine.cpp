@@ -7,37 +7,7 @@ namespace jade {
 SerialEngine::SerialEngine(bool enforce_hierarchy)
     : serializer_(this, enforce_hierarchy) {
   serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return objects_.info(obj).tenant; });
-}
-
-ObjectId SerialEngine::allocate(TypeDescriptor type, std::string name,
-                                MachineId /*home*/) {
-  const ObjectId id = objects_.add(std::move(type), std::move(name));
-  buffers_[id].assign(objects_.info(id).byte_size(), std::byte{0});
-  return id;
-}
-
-void SerialEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
-  auto& buf = buffers_.at(obj);
-  JADE_ASSERT(data.size() == buf.size());
-  std::copy(data.begin(), data.end(), buf.begin());
-}
-
-std::vector<std::byte> SerialEngine::get_bytes(ObjectId obj) {
-  return buffers_.at(obj);
-}
-
-const ObjectInfo& SerialEngine::object_info(ObjectId obj) const {
-  return objects_.info(obj);
-}
-
-void SerialEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
-  objects_.set_tenant(obj, tenant);
-}
-
-void SerialEngine::release_object(ObjectId obj) {
-  auto it = buffers_.find(obj);
-  if (it != buffers_.end()) buffers_.erase(it);
+      [this](ObjectId obj) { return object_info(obj).tenant; });
 }
 
 void SerialEngine::run(std::function<void(TaskContext&)> root_body) {

@@ -11,6 +11,7 @@
 // task is always immediately ready.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -21,14 +22,6 @@ namespace jade {
 class SerialEngine : public Engine, private SerializerListener {
  public:
   explicit SerialEngine(bool enforce_hierarchy);
-
-  ObjectId allocate(TypeDescriptor type, std::string name,
-                    MachineId home) override;
-  void put_bytes(ObjectId obj, std::span<const std::byte> data) override;
-  std::vector<std::byte> get_bytes(ObjectId obj) override;
-  const ObjectInfo& object_info(ObjectId obj) const override;
-  void set_object_tenant(ObjectId obj, TenantId tenant) override;
-  void release_object(ObjectId obj) override;
 
   void run(std::function<void(TaskContext&)> root_body) override;
 
@@ -47,6 +40,17 @@ class SerialEngine : public Engine, private SerializerListener {
   Serializer& serializer() { return serializer_; }
 
  protected:
+  void create_storage(const ObjectInfo& info, MachineId) override {
+    buffers_[info.id].assign(info.byte_size(), std::byte{0});
+  }
+  void write_storage(ObjectId obj, std::span<const std::byte> data) override {
+    std::copy(data.begin(), data.end(), buffers_.at(obj).begin());
+  }
+  std::vector<std::byte> read_storage(ObjectId obj) override {
+    return buffers_.at(obj);
+  }
+  void free_storage(ObjectId obj) override { buffers_.erase(obj); }
+
   /// Serial execution has no clock; events are ordered by a logical counter
   /// (one tick per emitted event), which keeps exported traces deterministic.
   SimTime trace_now() const override {
@@ -59,7 +63,6 @@ class SerialEngine : public Engine, private SerializerListener {
 
   void execute(TaskNode* task);
 
-  ObjectTable objects_;
   std::unordered_map<ObjectId, std::vector<std::byte>> buffers_;
   Serializer serializer_;
   mutable std::uint64_t logical_time_ = 0;

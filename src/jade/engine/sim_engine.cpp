@@ -21,9 +21,7 @@ SimEngine::SimTask& SimEngine::st(TaskNode* task) {
 
 // --- objects ---------------------------------------------------------------
 
-ObjectId SimEngine::allocate(TypeDescriptor type, std::string name,
-                             MachineId home) {
-  const ObjectId id = objects_.add(std::move(type), std::move(name));
+void SimEngine::create_storage(const ObjectInfo& info, MachineId home) {
   MachineId home_m;
   if (home >= 0) {
     JADE_ASSERT_MSG(home < machine_count(), "placement machine out of range");
@@ -32,29 +30,19 @@ ObjectId SimEngine::allocate(TypeDescriptor type, std::string name,
     home_m = next_home_;
     next_home_ = (next_home_ + 1) % machine_count();
   }
-  directory_.add_object(objects_.info(id), home_m);
-  return id;
+  directory_.add_object(info, home_m);
 }
 
-void SimEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
-  JADE_ASSERT(data.size() == objects_.info(obj).byte_size());
+void SimEngine::write_storage(ObjectId obj, std::span<const std::byte> data) {
   std::copy(data.begin(), data.end(), directory_.data(obj));
   // A host write starts a new data version (invalidates conversion cache
   // entries and any stale-replica reuse from a previous state).
   directory_.mark_dirty(obj);
 }
 
-std::vector<std::byte> SimEngine::get_bytes(ObjectId obj) {
+std::vector<std::byte> SimEngine::read_storage(ObjectId obj) {
   auto view = directory_.data_view(obj);
   return {view.begin(), view.end()};
-}
-
-const ObjectInfo& SimEngine::object_info(ObjectId obj) const {
-  return objects_.info(obj);
-}
-
-void SimEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
-  objects_.set_tenant(obj, tenant);
 }
 
 // --- notifications ---------------------------------------------------------
@@ -536,7 +524,7 @@ MachineId SimEngine::machine_of(TaskNode* task) const {
 void SimEngine::ensure_recoverable(ObjectId obj) const {
   if (!directory_.lost(obj)) return;
   throw UnrecoverableError(
-      "object " + std::to_string(obj) + " ('" + objects_.info(obj).name +
+      "object " + std::to_string(obj) + " ('" + object_info(obj).name +
       "') is unrecoverable: its only copy died with machine " +
       std::to_string(directory_.owner(obj)) +
       " and stable storage is disabled");
@@ -755,7 +743,7 @@ void SimEngine::abort_speculations_on(MachineId m) {
 }
 
 std::vector<std::byte> SimEngine::read_bytes(ObjectId obj) {
-  return get_bytes(obj);
+  return read_storage(obj);
 }
 
 void SimEngine::publish_bytes(TaskNode* task, ObjectId obj,

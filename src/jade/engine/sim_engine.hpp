@@ -64,13 +64,6 @@ class SimEngine : public Engine,
             std::shared_ptr<const model::Planner> planner = nullptr);
   ~SimEngine() override;
 
-  ObjectId allocate(TypeDescriptor type, std::string name,
-                    MachineId home) override;
-  void put_bytes(ObjectId obj, std::span<const std::byte> data) override;
-  std::vector<std::byte> get_bytes(ObjectId obj) override;
-  const ObjectInfo& object_info(ObjectId obj) const override;
-  void set_object_tenant(ObjectId obj, TenantId tenant) override;
-
   void run(std::function<void(TaskContext&)> root_body) override;
 
   /// Also attaches the tracer to the network model and object directory, so
@@ -99,6 +92,11 @@ class SimEngine : public Engine,
   }
 
  protected:
+  /// Registers the object in the directory at `home` (-1: round-robin).
+  void create_storage(const ObjectInfo& info, MachineId home) override;
+  void write_storage(ObjectId obj, std::span<const std::byte> data) override;
+  std::vector<std::byte> read_storage(ObjectId obj) override;
+
   /// Trace timestamps are virtual time — the whole point of tracing a
   /// deterministic simulation is a deterministic trace.
   SimTime trace_now() const override;
@@ -242,7 +240,6 @@ class SimEngine : public Engine,
   /// defaults to the shared HeuristicPlanner — legacy behavior to the byte.
   std::shared_ptr<const model::Planner> planner_;
   std::unique_ptr<NetworkModel> network_;
-  ObjectTable objects_;
   ObjectDirectory directory_;
   Serializer serializer_;
   std::vector<Machine> machines_;

@@ -111,7 +111,7 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
   if (sched_.contexts_per_machine < 1)
     throw ConfigError("contexts_per_machine must be >= 1");
   serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return objects_.info(obj).tenant; });
+      [this](ObjectId obj) { return object_info(obj).tenant; });
   // With replica reuse on, a dropped-but-current replica is as good as a
   // present one for the locality heuristics.
   directory_.set_reuse_scoring(sched_.comm.reuse_replicas);
@@ -133,7 +133,7 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
   ccfg.control_message_bytes = cluster_.control_message_bytes;
   ccfg.conversion_seconds_per_scalar = cluster_.conversion_seconds_per_scalar;
   coherence_ = std::make_unique<CoherenceProtocol>(
-      *transport_, directory_, objects_, std::move(endians), ccfg, stats_,
+      *transport_, directory_, objects(), std::move(endians), ccfg, stats_,
       &tracer_);
 
   if (fault.enabled) {

@@ -44,11 +44,9 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
   // (stealers scan the prefix without locking).
   slots_.resize(kMaxSlots);
   // Ownership oracle for tenant isolation: called from create_task under
-  // mu_; objects_mu_ is a leaf below it.
-  serializer_.set_tenant_oracle([this](ObjectId obj) {
-    std::lock_guard<std::mutex> lock(objects_mu_);
-    return objects_.info(obj).tenant;
-  });
+  // mu_; the object table's lock is a leaf below it.
+  serializer_.set_tenant_oracle(
+      [this](ObjectId obj) { return object_info(obj).tenant; });
 }
 
 ThreadEngine::~ThreadEngine() {
@@ -60,50 +58,6 @@ ThreadEngine::~ThreadEngine() {
   }
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
-}
-
-// --- objects ---------------------------------------------------------------
-// None of these touch mu_: object metadata has its own mutex and the byte
-// buffers are behind the BufferTable's shard locks.
-
-ObjectId ThreadEngine::allocate(TypeDescriptor type, std::string name,
-                                MachineId /*home*/) {
-  ObjectId id;
-  std::size_t size;
-  {
-    std::lock_guard<std::mutex> lock(objects_mu_);
-    id = objects_.add(std::move(type), std::move(name));
-    size = objects_.info(id).byte_size();
-  }
-  buffers_.create(id, size);
-  return id;
-}
-
-void ThreadEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
-  buffers_.put(obj, data);
-}
-
-std::vector<std::byte> ThreadEngine::get_bytes(ObjectId obj) {
-  // BufferTable::get copies after dropping its shard lock; a host-side
-  // readback of a large object never stalls the schedulers.
-  return buffers_.get(obj);
-}
-
-const ObjectInfo& ThreadEngine::object_info(ObjectId obj) const {
-  std::lock_guard<std::mutex> lock(objects_mu_);
-  // Deque-backed table: the reference survives the unlock and any number of
-  // concurrent allocations.
-  return objects_.info(obj);
-}
-
-void ThreadEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
-  std::lock_guard<std::mutex> lock(objects_mu_);
-  objects_.set_tenant(obj, tenant);
-}
-
-void ThreadEngine::release_object(ObjectId obj) {
-  // Metadata stays (stale ids keep failing loudly); only the bytes go.
-  buffers_.destroy(obj);
 }
 
 void ThreadEngine::notify_external() {
@@ -760,7 +714,7 @@ void ThreadEngine::decide_speculation_locked(TaskNode* task,
 }
 
 std::vector<std::byte> ThreadEngine::read_bytes(ObjectId obj) {
-  return get_bytes(obj);
+  return read_storage(obj);
 }
 
 void ThreadEngine::publish_bytes(TaskNode* /*task*/, ObjectId obj,

@@ -55,14 +55,6 @@ class ThreadEngine : public Engine,
                std::shared_ptr<const model::Planner> planner = nullptr);
   ~ThreadEngine() override;
 
-  ObjectId allocate(TypeDescriptor type, std::string name,
-                    MachineId home) override;
-  void put_bytes(ObjectId obj, std::span<const std::byte> data) override;
-  std::vector<std::byte> get_bytes(ObjectId obj) override;
-  const ObjectInfo& object_info(ObjectId obj) const override;
-  void set_object_tenant(ObjectId obj, TenantId tenant) override;
-  void release_object(ObjectId obj) override;
-
   void run(std::function<void(TaskContext&)> root_body) override;
 
   void spawn(TaskNode* parent, const std::vector<AccessRequest>& requests,
@@ -199,6 +191,18 @@ class ThreadEngine : public Engine,
   /// execute() but may have taken tokens in its body.
   void release_commute_tokens_locked(TaskNode* task);
 
+  // --- object bytes: the BufferTable alone, so none of these touch mu_ -----
+  void create_storage(const ObjectInfo& info, MachineId) override {
+    buffers_.create(info.id, info.byte_size());
+  }
+  void write_storage(ObjectId obj, std::span<const std::byte> data) override {
+    buffers_.put(obj, data);
+  }
+  std::vector<std::byte> read_storage(ObjectId obj) override {
+    return buffers_.get(obj);
+  }
+  void free_storage(ObjectId obj) override { buffers_.destroy(obj); }
+
   // --- speculation (sched/speculation.hpp does the protocol) ---------------
 
   /// Launches a candidate and runs its body on this thread (no lock held),
@@ -281,9 +285,7 @@ class ThreadEngine : public Engine,
   /// inside one); rethrown from run() after the pool shuts down.
   std::exception_ptr first_error_;
 
-  // --- object domain: independent of scheduling ----------------------------
-  mutable std::mutex objects_mu_;  ///< ObjectTable structure only
-  ObjectTable objects_;
+  // --- object bytes: independent of scheduling -----------------------------
   BufferTable buffers_;  ///< internally sharded
 
   // --- dispatch domain: lock-free deques + a small idle-set mutex ----------

@@ -14,11 +14,11 @@ std::unique_ptr<NetworkModel> ClusterConfig::make_network() const {
     case NetKind::kSharedBus:
       return std::make_unique<SharedBusNet>(bus);
     case NetKind::kHypercube:
-      return std::make_unique<HypercubeNet>(n, cube);
+      return std::make_unique<PointToPointNet>(Topology::kHypercube, n, cube);
     case NetKind::kCrossbar:
-      return std::make_unique<CrossbarNet>(n, xbar);
+      return std::make_unique<PointToPointNet>(Topology::kCrossbar, n, xbar);
     case NetKind::kMesh:
-      return std::make_unique<MeshNet>(n, mesh);
+      return std::make_unique<PointToPointNet>(Topology::kMesh, n, mesh);
     case NetKind::kIdeal:
       return std::make_unique<IdealNet>(ideal.latency,
                                         ideal.bytes_per_second);

@@ -13,10 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "jade/net/crossbar.hpp"
-#include "jade/net/hypercube.hpp"
-#include "jade/net/mesh.hpp"
 #include "jade/net/network.hpp"
+#include "jade/net/point_to_point.hpp"
 #include "jade/net/shared_bus.hpp"
 #include "jade/support/time.hpp"
 #include "jade/types/type_desc.hpp"
@@ -73,9 +71,11 @@ struct ClusterConfig {
   NetKind net = NetKind::kSharedMemory;
 
   SharedBusConfig bus;
-  HypercubeConfig cube;
-  CrossbarConfig xbar;
-  MeshConfig mesh;
+  /// Point-to-point links as {startup, per_hop, bytes_per_second}; the
+  /// iPSC/860's is its realized bandwidth, the crossbar's is per link.
+  LinkConfig cube{75e-6, 11e-6, 2.8e6};
+  LinkConfig xbar{10e-6, 20e-6, 40e6};
+  LinkConfig mesh{60e-6, 15e-6, 3.5e6};
   IdealNetConfig ideal;
 
   /// Runtime cost, in seconds on the executing machine, of dispatching one

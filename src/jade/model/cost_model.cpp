@@ -48,7 +48,7 @@ double CostModel::comm_seconds(const ClusterConfig& cluster, double bytes,
       // Non-blocking switch: per-link bandwidth times one in-flight transfer
       // per machine pair, bounded by the receivers.
       return bytes / (cluster.xbar.bytes_per_second * m) +
-             messages * cluster.xbar.latency;
+             messages * cluster.xbar.per_hop;
     case NetKind::kMesh: {
       // 2-D mesh, XY routing: bisection limits concurrency to ~sqrt(m).
       const double concurrency = std::max(1.0, std::sqrt(m));

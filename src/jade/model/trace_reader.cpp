@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <map>
@@ -381,12 +380,6 @@ std::vector<obs::TraceEvent> read_chrome_trace(std::istream& in) {
     out.push_back(std::move(e));
   }
   return out;
-}
-
-std::vector<obs::TraceEvent> read_chrome_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ProtocolError("cannot open trace file: " + path);
-  return read_chrome_trace(in);
 }
 
 }  // namespace jade::model

@@ -52,6 +52,5 @@ RunProfile extract_profile(std::span<const obs::TraceEvent> events,
 /// input.  Event names are interned (the TraceEvent contract wants static
 /// storage), so repeated ingestion does not grow memory per call.
 std::vector<obs::TraceEvent> read_chrome_trace(std::istream& in);
-std::vector<obs::TraceEvent> read_chrome_trace_file(const std::string& path);
 
 }  // namespace jade::model

@@ -17,9 +17,4 @@ SimTime IdealNet::transfer_impl(MachineId from, MachineId to,
   return now + latency_ + transmit;
 }
 
-std::unique_ptr<NetworkModel> make_ideal_net(SimTime latency,
-                                             double bytes_per_second) {
-  return std::make_unique<IdealNet>(latency, bytes_per_second);
-}
-
 }  // namespace jade

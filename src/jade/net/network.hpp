@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -148,8 +147,5 @@ class IdealNet : public NetworkModel {
   SimTime latency_;
   double bandwidth_;
 };
-
-std::unique_ptr<NetworkModel> make_ideal_net(SimTime latency,
-                                             double bytes_per_second);
 
 }  // namespace jade

@@ -18,16 +18,10 @@ SimTime SharedBusNet::transfer_impl(MachineId from, MachineId to,
   return busy_until_ + config_.latency;
 }
 
-SimTime SharedBusNet::multicast_impl(MachineId /*from*/,
-                                     std::span<const MachineId> /*tos*/,
+SimTime SharedBusNet::multicast_impl(MachineId from,
+                                     std::span<const MachineId> tos,
                                      std::size_t bytes, SimTime now) {
-  const SimTime start = std::max(now, busy_until_);
-  const SimTime occupancy = config_.per_message_overhead +
-                            static_cast<SimTime>(bytes) /
-                                config_.bytes_per_second;
-  busy_until_ = start + occupancy;
-  record(bytes, occupancy);
-  return busy_until_ + config_.latency;
+  return transfer_impl(from, tos.front(), bytes, now);
 }
 
 void SharedBusNet::reset() {
