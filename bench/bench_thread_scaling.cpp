@@ -11,18 +11,25 @@
 //
 // Every cell is verified against the serial reference before it is timed
 // (a wrong answer exits non-zero), and the measured rows are written as a
-// JSON artifact (--json-out, default BENCH_thread_scaling.json) so CI can
-// track the engine's scaling trajectory over time.
+// bench_format artifact (--json-out, default BENCH_thread_scaling.json) so
+// CI can track the engine's scaling trajectory over time.  The rows are
+// wall-clock figures, so each one names the host's core count, the build
+// type and the compiler that produced it.
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_format.hpp"
 #include "jade/apps/cholesky.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/support/stats.hpp"
+
+#ifndef JADE_BUILD_TYPE
+#define JADE_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -34,17 +41,15 @@ double now_seconds() {
       .count();
 }
 
-struct Cell {
-  int workers = 1;
-  double seconds = 0;
-  double tasks_per_sec = 0;
-};
-
-struct Series {
-  std::string name;
-  std::uint64_t tasks = 0;
-  std::vector<Cell> cells;
-};
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
 
 /// `tasks` independent near-empty tasks spread over `objects` shared
 /// objects: pure dispatch overhead.  Returns best-of-`reps` wall seconds.
@@ -104,73 +109,52 @@ std::pair<double, std::uint64_t> run_cholesky(
   return {best, tasks};
 }
 
-void write_json(const std::string& path, const std::vector<Series>& series) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::cerr << "cannot write " << path << "\n";
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_thread_scaling\",\n");
-  std::fprintf(f, "  \"workloads\": [\n");
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    const Series& sr = series[s];
-    std::fprintf(f, "    {\"name\": \"%s\", \"tasks\": %llu, \"rows\": [\n",
-                 sr.name.c_str(),
-                 static_cast<unsigned long long>(sr.tasks));
-    for (std::size_t i = 0; i < sr.cells.size(); ++i) {
-      const Cell& c = sr.cells[i];
-      std::fprintf(f,
-                   "      {\"workers\": %d, \"seconds\": %.6f, "
-                   "\"tasks_per_sec\": %.1f}%s\n",
-                   c.workers, c.seconds, c.tasks_per_sec,
-                   i + 1 < sr.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", s + 1 < series.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::cerr << "wrote " << path << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_thread_scaling.json";
+  const std::string json_path =
+      bench::json_out_path(argc, argv, "BENCH_thread_scaling.json");
   int tasks = 8192;
   int reps = 3;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else if (std::strncmp(argv[i], "--json-out=", 11) == 0)
-      json_path = argv[i] + 11;
-    else if (std::strcmp(argv[i], "--tasks") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--tasks") == 0 && i + 1 < argc)
       tasks = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
       reps = std::atoi(argv[++i]);
   }
 
   const std::vector<int> worker_sweep = {1, 2, 4, 8};
-  std::vector<Series> series;
+  const auto cores =
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency());
+  bench::JsonReport report("bench_thread_scaling");
+  const auto add_row = [&](const char* workload, int workers,
+                           std::uint64_t ntasks, double secs) {
+    report.add_row()
+        .str("workload", workload)
+        .count("workers", workers)
+        .count("tasks", ntasks)
+        .num("seconds", secs, 6)
+        .num("tasks_per_s", static_cast<double>(ntasks) / secs, 1)
+        .count("reps", reps)
+        .count("hardware_cores", cores)
+        .str("build_type", JADE_BUILD_TYPE)
+        .str("compiler", compiler());
+  };
 
   std::cout << "=== ThreadEngine scaling (wall clock, best of " << reps
             << ") ===\n";
 
   {
-    Series sr;
-    sr.name = "microtask_fanout";
-    sr.tasks = static_cast<std::uint64_t>(tasks);
     std::cout << "--- microtask fan-out: " << tasks
               << " near-empty independent tasks over 16 objects ---\n";
     TextTable table({"workers", "seconds", "tasks/sec"});
     for (int w : worker_sweep) {
       const double secs = run_microtask(w, tasks, 16, reps);
-      const double rate = tasks / secs;
-      sr.cells.push_back({w, secs, rate});
+      add_row("microtask_fanout", w, static_cast<std::uint64_t>(tasks), secs);
       table.add_row({std::to_string(w), format_double(secs, 4),
-                     format_double(rate, 0)});
+                     format_double(tasks / secs, 0)});
     }
     table.print(std::cout);
-    series.push_back(std::move(sr));
   }
 
   {
@@ -178,24 +162,19 @@ int main(int argc, char** argv) {
     const auto a = apps::make_spd(n, 5.0 / n, 7);
     auto expect = a;
     apps::factor_serial(expect);
-    Series sr;
-    sr.name = "cholesky_per_column";
     std::cout << "--- sparse Cholesky, per-column tasks: n=" << n
               << ", nnz=" << a.nnz() << " ---\n";
     TextTable table({"workers", "seconds", "tasks/sec"});
     for (int w : worker_sweep) {
       auto [secs, ntasks] = run_cholesky(a, expect, w, reps);
-      sr.tasks = ntasks;
-      const double rate = static_cast<double>(ntasks) / secs;
-      sr.cells.push_back({w, secs, rate});
+      add_row("cholesky_per_column", w, ntasks, secs);
       table.add_row({std::to_string(w), format_double(secs, 4),
-                     format_double(rate, 0)});
+                     format_double(static_cast<double>(ntasks) / secs, 0)});
     }
     table.print(std::cout);
-    series.push_back(std::move(sr));
   }
 
-  write_json(json_path, series);
+  report.write(json_path);
   std::cout << "(all cells verified against the serial reference; rows "
                "recorded in "
             << json_path << ")\n";

@@ -7,7 +7,7 @@
 
 namespace jade {
 
-DeclRecord* TaskNode::find_record(ObjectId obj) {
+DeclRecord* TaskNode::find_record(ObjectId obj) const {
   for (DeclRecord* rec : ordered_records_)
     if (rec->obj == obj) return rec;
   return nullptr;
@@ -23,32 +23,25 @@ void Serializer::make_root() {
   auto root = std::make_unique<TaskNode>();
   root->id_ = 0;
   root->name_ = "root";
-  root->state_ = TaskState::kRunning;
+  root->set_state(TaskState::kRunning);
   root_ = root.get();
   tasks_.push_back(std::move(root));
 }
 
 void Serializer::reset() {
   tasks_.clear();
-  record_arena_.clear();
   queues_.clear();
   next_task_id_ = 1;
   outstanding_ = 0;
-  unstarted_ = 0;
+  unstarted_.store(0);
   in_update_ = nullptr;
   make_root();
 }
 
 Serializer::~Serializer() = default;
 
-Serializer::ObjectQueue& Serializer::queue_for(ObjectId obj) {
+ObjectQueue& Serializer::queue_for(ObjectId obj) {
   return queues_[obj];
-}
-
-DeclRecord* Serializer::new_record(TaskNode* task) {
-  if (task->inline_used_ < TaskNode::kInlineRecords)
-    return &task->inline_records_[task->inline_used_++];
-  return &record_arena_.emplace_back();
 }
 
 void Serializer::check_coverage(TaskNode* parent,
@@ -68,12 +61,12 @@ void Serializer::check_coverage(TaskNode* parent,
   }
 }
 
-TaskNode* Serializer::create_task(TaskNode* parent,
-                                  const std::vector<AccessRequest>& requests,
-                                  std::function<void(TaskContext&)> body,
-                                  std::string name, TenantCtl* tenant) {
+std::unique_ptr<TaskNode> Serializer::prepare_task(
+    TaskNode* parent, const std::vector<AccessRequest>& requests,
+    std::function<void(TaskContext&)> body, std::string name,
+    TenantCtl* tenant) const {
   JADE_ASSERT(parent != nullptr);
-  JADE_ASSERT_MSG(parent->state_ == TaskState::kRunning,
+  JADE_ASSERT_MSG(parent->state() == TaskState::kRunning,
                   "tasks can only be created from a running task");
 
   TenantCtl* ctl = tenant != nullptr ? tenant : parent->tenant_;
@@ -94,16 +87,15 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     }
   }
 
-  auto owned = std::make_unique<TaskNode>();
-  TaskNode* task = owned.get();
-  task->id_ = next_task_id_++;
-  task->name_ = name.empty() ? "task#" + std::to_string(task->id_)
-                             : std::move(name);
+  auto task = std::make_unique<TaskNode>();
+  task->name_ = std::move(name);
   task->parent_ = parent;
   task->tenant_ = ctl;
   task->program_root_ = tenant != nullptr;
   task->body = std::move(body);
-  tasks_.push_back(std::move(owned));
+  if (requests.size() > TaskNode::kInlineRecords)
+    task->extra_records_ = std::make_unique<DeclRecord[]>(
+        requests.size() - TaskNode::kInlineRecords);
 
   for (const AccessRequest& req : requests) {
     if (req.remove != 0) {
@@ -122,36 +114,48 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     JADE_ASSERT_MSG(task->find_record(req.obj) == nullptr,
                     "duplicate declaration for one object in one withonly");
 
-    DeclRecord* rec = new_record(task);
-    rec->task = task;
+    DeclRecord* rec = task->record_slot(task->ordered_records_.size());
+    rec->task = task.get();
     rec->obj = req.obj;
     rec->immediate = req.add_immediate;
     rec->deferred = req.add_deferred;
+    task->ordered_records_.push_back(rec);
+  }
+  return task;
+}
 
-    ObjectQueue& q = queue_for(req.obj);
-    DeclRecord* parent_rec = parent->find_record(req.obj);
+TaskNode* Serializer::link_task(std::unique_ptr<TaskNode> owned) {
+  TaskNode* task = owned.get();
+  TaskNode* parent = task->parent_;
+  task->id_ = next_task_id_++;
+  if (task->name_.empty()) task->name_ = "task#" + std::to_string(task->id_);
+  tasks_.push_back(std::move(owned));
+
+  for (DeclRecord* rec : task->ordered_records_) {
+    ObjectQueue& q = queue_for(rec->obj);
+    rec->queue = &q;
+    DeclRecord* parent_rec = parent->find_record(rec->obj);
     if (parent_rec != nullptr && parent_rec->linked()) {
       link_before(q, parent_rec, rec);
+      parent_rec->child_ahead = true;
     } else {
       link_back(q, rec);
     }
-    task->ordered_records_.push_back(rec);
   }
 
   // Determine which immediate records are not yet enabled.
   for (DeclRecord* rec : task->ordered_records_) {
     if (rec->immediate == 0) continue;
-    ObjectQueue& q = queue_for(rec->obj);
-    if (!is_enabled(q, rec, rec->immediate)) {
-      set_counted(q, rec, true);
+    if (!is_enabled(*rec->queue, rec, rec->immediate)) {
+      set_counted(*rec->queue, rec, true);
       rec->wait_bits = rec->immediate;
       ++task->start_pending_;
     }
   }
 
   ++outstanding_;
-  ++unstarted_;
-  if (ctl != nullptr) {
+  unstarted_.fetch_add(1);
+  if (TenantCtl* ctl = task->tenant_) {
     ctl->tasks_created.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t live =
         ctl->live.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -162,28 +166,40 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     }
   }
   if (task->start_pending_ == 0) {
-    task->state_ = TaskState::kReady;
+    task->set_state(TaskState::kReady);
     listener_->on_task_ready(task);
   }
   return task;
 }
 
 void Serializer::task_started(TaskNode* task) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kReady,
+  JADE_ASSERT_MSG(task->state() == TaskState::kReady,
                   "task_started on a task that is not ready");
-  task->state_ = TaskState::kRunning;
-  JADE_ASSERT(unstarted_ > 0);
-  --unstarted_;
+  task->set_state(TaskState::kRunning);
+  const std::uint64_t before = unstarted_.fetch_sub(1);
+  JADE_ASSERT(before > 0);
+}
+
+bool Serializer::granted(const TaskNode* task, ObjectId obj,
+                         std::uint8_t mode) const {
+  // Children of the root append at queue tails (the root holds no records),
+  // behind every running task.  Children of a program root skip the
+  // coverage rule; the server's program roots declare nothing, so theirs
+  // append at the tails too.
+  if (!enforce_hierarchy_ || (mode & access::kCommute)) return false;
+  const DeclRecord* rec = task->find_record(obj);
+  return rec != nullptr && !rec->child_ahead &&
+         (mode & static_cast<std::uint8_t>(~rec->immediate)) == 0;
 }
 
 bool Serializer::update_spec(TaskNode* task,
                              const std::vector<AccessRequest>& requests) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
+  JADE_ASSERT_MSG(task->state() == TaskState::kRunning,
                   "with-cont outside a running task");
   JADE_ASSERT(task->block_pending_ == 0);
   in_update_ = task;
 
-  std::vector<ObjectId> touched_queues;
+  std::vector<ObjectQueue*> touched_queues;
   for (const AccessRequest& req : requests) {
     DeclRecord* rec = task->find_record(req.obj);
     if (rec == nullptr) {
@@ -198,8 +214,8 @@ bool Serializer::update_spec(TaskNode* task,
     // Retirements first, so `no_rd(o); ...` frees successors even when the
     // same update also converts other bits of the same object.
     if (req.remove != 0) {
-      if (weaken_record(queue_for(req.obj), rec, req.remove))
-        touched_queues.push_back(req.obj);
+      if (weaken_record(*rec->queue, rec, req.remove))
+        touched_queues.push_back(rec->queue);
     }
 
     const std::uint8_t held = rec->effective();
@@ -230,7 +246,7 @@ bool Serializer::update_spec(TaskNode* task,
     rec->deferred |= downgrade;
 
     if (want_imm != 0) {
-      ObjectQueue& q = queue_for(req.obj);
+      ObjectQueue& q = *rec->queue;
       JADE_ASSERT(!rec->counted);
       if (rec->linked() && !is_enabled(q, rec, rec->immediate)) {
         set_counted(q, rec, true);
@@ -240,14 +256,14 @@ bool Serializer::update_spec(TaskNode* task,
     }
   }
 
-  for (ObjectId obj : touched_queues) reevaluate(queue_for(obj));
+  for (ObjectQueue* q : touched_queues) reevaluate(*q);
 
   in_update_ = nullptr;
   return task->block_pending_ > 0;
 }
 
 bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
+  JADE_ASSERT_MSG(task->state() == TaskState::kRunning,
                   "accessor acquired outside a running task");
   JADE_ASSERT(mode != 0);
   if (task->is_root()) {
@@ -281,7 +297,7 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
     throw UndeclaredAccessError(os.str());
   }
 
-  ObjectQueue& q = queue_for(obj);
+  ObjectQueue& q = *rec->queue;
   // Book the exercise before the enabledness check: a blocked acquisition
   // will touch the bytes as soon as it unblocks, so treating it as touched
   // already is the conservative direction for the speculation commit check
@@ -301,20 +317,20 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
 }
 
 void Serializer::complete_task(TaskNode* task) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
+  JADE_ASSERT_MSG(task->state() == TaskState::kRunning,
                   "complete_task on a task that is not running");
   JADE_ASSERT_MSG(task->block_pending_ == 0,
                   "complete_task on a blocked task");
-  task->state_ = TaskState::kCompleted;
+  task->set_state(TaskState::kCompleted);
 
-  std::vector<ObjectId> touched;
+  // A record stays linked exactly while it holds bits (full retirement
+  // unlinks it), so its bits still name the queues this completion left.
   for (DeclRecord* rec : task->ordered_records_) {
-    if (rec->linked()) {
-      unlink(queue_for(rec->obj), rec);
-      touched.push_back(rec->obj);
-    }
+    JADE_ASSERT(rec->linked() == (rec->effective() != 0));
+    if (rec->linked()) unlink(*rec->queue, rec);
   }
-  for (ObjectId obj : touched) reevaluate(queue_for(obj));
+  for (DeclRecord* rec : task->ordered_records_)
+    if (rec->effective() != 0) reevaluate(*rec->queue);
   if (!task->is_root()) --outstanding_;
 
   if (TenantCtl* ctl = task->tenant_) {
@@ -330,32 +346,29 @@ void Serializer::complete_task(TaskNode* task) {
 }
 
 void Serializer::abort_attempt(TaskNode* task) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
+  JADE_ASSERT_MSG(task->state() == TaskState::kRunning,
                   "abort_attempt on a task that is not running");
   JADE_ASSERT(!task->is_root());
   for (DeclRecord* rec : task->ordered_records_) {
     if (rec->counted) {
-      set_counted(queue_for(rec->obj), rec, false);
+      set_counted(*rec->queue, rec, false);
       rec->wait_bits = 0;
     }
   }
   task->block_pending_ = 0;
-  task->state_ = TaskState::kReady;
-  ++unstarted_;
+  task->set_state(TaskState::kReady);
+  unstarted_.fetch_add(1);
 }
 
 bool Serializer::spec_eligible(TaskNode* task,
                                std::vector<ObjectId>* contested) const {
-  if (task->state_ != TaskState::kPending || task->speculating_) return false;
+  if (task->state() != TaskState::kPending || task->speculating_) return false;
   if (contested != nullptr) contested->clear();
   for (DeclRecord* rec : task->ordered_records_) {
     if (!rec->counted) continue;
     // A waiting commute right needs the token machinery; never speculate it.
     if (rec->wait_bits & access::kCommute) return false;
-    auto it = queues_.find(rec->obj);
-    JADE_ASSERT(it != queues_.end());
-    // Walking `records` is read-only; map values are stable.
-    auto& q = const_cast<ObjectQueue&>(it->second);
+    ObjectQueue& q = *rec->queue;
     bool contested_here = false;
     for (DeclRecord* p = q.records.front(); p != nullptr && p != rec;
          p = q.records.next_of(p)) {
@@ -385,7 +398,7 @@ bool Serializer::spec_eligible(TaskNode* task,
 }
 
 void Serializer::spec_start(TaskNode* task) {
-  JADE_ASSERT_MSG(task->state_ == TaskState::kPending,
+  JADE_ASSERT_MSG(task->state() == TaskState::kPending,
                   "spec_start on a task that is not pending");
   JADE_ASSERT(!task->speculating_);
   task->speculating_ = true;
@@ -398,7 +411,7 @@ void Serializer::spec_abort(TaskNode* task) {
 
 void Serializer::spec_commit(TaskNode* task) {
   JADE_ASSERT_MSG(task->speculating_, "spec_commit on a non-speculation");
-  JADE_ASSERT_MSG(task->state_ == TaskState::kReady,
+  JADE_ASSERT_MSG(task->state() == TaskState::kReady,
                   "spec_commit before the serializer enabled the task");
   task->speculating_ = false;
   task_started(task);
@@ -434,8 +447,8 @@ bool Serializer::is_enabled(ObjectQueue& q, DeclRecord* rec,
 void Serializer::reevaluate(ObjectQueue& q) {
   if (q.cnt_counted == 0) return;  // nobody is waiting on this queue
   std::uint8_t prior = 0;
-  std::vector<TaskNode*> now_ready;
-  std::vector<TaskNode*> now_unblocked;
+  now_ready_.clear();
+  now_unblocked_.clear();
   for (DeclRecord* p = q.records.front(); p != nullptr;
        p = q.records.next_of(p)) {
     // Once the scanned prefix holds a write — or both a read and a commute —
@@ -450,25 +463,26 @@ void Serializer::reevaluate(ObjectQueue& q) {
     if (p->counted && !access::conflicts(prior, p->wait_bits)) {
       set_counted(q, p, false);
       TaskNode* t = p->task;
-      if (t->state_ == TaskState::kPending) {
+      if (t->state() == TaskState::kPending) {
         JADE_ASSERT(t->start_pending_ > 0);
         if (--t->start_pending_ == 0) {
-          t->state_ = TaskState::kReady;
-          now_ready.push_back(t);
+          t->set_state(TaskState::kReady);
+          now_ready_.push_back(t);
         }
       } else {
-        JADE_ASSERT(t->state_ == TaskState::kRunning);
+        JADE_ASSERT(t->state() == TaskState::kRunning);
         JADE_ASSERT(t->block_pending_ > 0);
         if (--t->block_pending_ == 0 && t != in_update_) {
-          now_unblocked.push_back(t);
+          now_unblocked_.push_back(t);
         }
       }
     }
     prior |= p->effective();
   }
-  // Notify after the scan so listener code observes a consistent queue.
-  for (TaskNode* t : now_ready) listener_->on_task_ready(t);
-  for (TaskNode* t : now_unblocked) listener_->on_task_unblocked(t);
+  // Notify after the scan so listener code observes a consistent queue
+  // (listeners never re-enter the serializer, so the vectors stay ours).
+  for (TaskNode* t : now_ready_) listener_->on_task_ready(t);
+  for (TaskNode* t : now_unblocked_) listener_->on_task_unblocked(t);
 }
 
 bool Serializer::weaken_record(ObjectQueue& q, DeclRecord* rec,

@@ -22,11 +22,15 @@
 //
 // The serializer is engine-agnostic and single-threaded by contract: callers
 // (the engines) serialize calls with their own lock or handoff discipline.
+// Three calls are exempt, and ThreadEngine makes them without its lock:
+// prepare_task (builds and checks a task, touching no serializer state),
+// task_started (one atomic state store and one atomic backlog decrement),
+// and granted (a running task's lookup of its own record).
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -43,6 +47,7 @@ namespace jade {
 
 class TaskContext;
 class TaskNode;
+struct ObjectQueue;
 struct TenantCtl;
 
 /// One task's declared access to one object, linked into that object's
@@ -69,6 +74,11 @@ struct DeclRecord : IntrusiveNode {
   /// A declared-but-unexercised write is what makes a successor speculable:
   /// the bytes it would contest have not been touched yet.
   std::uint8_t exercised = 0;
+  /// Set when the owner links a child's record directly ahead of this one.
+  /// Only the owner's thread writes or reads it (Serializer::granted).
+  bool child_ahead = false;
+  /// The queue this record was linked into, so retirement needs no lookup.
+  ObjectQueue* queue = nullptr;
 };
 
 enum class TaskState : std::uint8_t {
@@ -86,7 +96,10 @@ class TaskNode {
   const std::string& name() const { return name_; }
   TaskNode* parent() const { return parent_; }
   bool is_root() const { return parent_ == nullptr; }
-  TaskState state() const { return state_; }
+  /// Relaxed: ThreadEngine starts tasks without its lock, so another thread
+  /// may read a state mid-change.  Every decision that needs more than
+  /// "not pending any more" is made under the engine's discipline.
+  TaskState state() const { return state_.load(std::memory_order_relaxed); }
 
   /// The server tenant this task runs for, or nullptr for a host task.
   /// Inherited from the parent unless create_task received an explicit
@@ -106,7 +119,7 @@ class TaskNode {
   /// a handful of objects, so this is a linear scan of an inline array —
   /// faster than a hash probe at the sizes that occur in practice, and free
   /// of per-record node allocations.
-  DeclRecord* find_record(ObjectId obj);
+  DeclRecord* find_record(ObjectId obj) const;
 
   /// Number of records (for tests/benches).
   std::size_t record_count() const { return ordered_records_.size(); }
@@ -137,23 +150,50 @@ class TaskNode {
   friend class Serializer;
 
   /// Declarations at or below this count live inline in the TaskNode (no
-  /// allocation at all); beyond it they come from the serializer's arena.
+  /// allocation at all); beyond it they come from one array the task owns.
   /// 8 covers the overwhelming majority of tasks in the paper's workloads
   /// (Cholesky external updates declare 4 objects).
   static constexpr std::size_t kInlineRecords = 8;
 
+  void set_state(TaskState s) { state_.store(s, std::memory_order_relaxed); }
+
+  /// Storage for the task's `n`-th record.
+  DeclRecord* record_slot(std::size_t n) {
+    if (n < kInlineRecords) return &inline_records_[n];
+    return &extra_records_[n - kInlineRecords];
+  }
+
   std::uint64_t id_ = 0;
   std::string name_;
   TaskNode* parent_ = nullptr;
-  TaskState state_ = TaskState::kPending;
+  std::atomic<TaskState> state_{TaskState::kPending};
   std::uint32_t start_pending_ = 0;  ///< immediate records not yet enabled
   std::uint32_t block_pending_ = 0;  ///< records a running task waits on
   TenantCtl* tenant_ = nullptr;
   bool program_root_ = false;
   bool speculating_ = false;
   std::array<DeclRecord, kInlineRecords> inline_records_;
-  std::uint32_t inline_used_ = 0;
+  /// Records past kInlineRecords, sized once when the task is prepared.
+  std::unique_ptr<DeclRecord[]> extra_records_;
   std::vector<DeclRecord*> ordered_records_;
+};
+
+/// Per-object queue with counters enabling O(1) answers in the common
+/// cases.  Without them, widely-read objects (e.g. the index structures
+/// every Cholesky task declares rd on) make enabledness checks and
+/// post-completion rescans linear in the number of outstanding tasks —
+/// quadratic overall.
+struct ObjectQueue {
+  IntrusiveList<DeclRecord> records;
+  /// Records whose effective bits include write or commute (block reads).
+  std::size_t cnt_wc = 0;
+  /// Records whose effective bits include read or write (block commutes).
+  std::size_t cnt_rw = 0;
+  /// Records some task is currently waiting on (counted == true).
+  std::size_t cnt_counted = 0;
+  /// Exercised write/commute acquisitions (plus committed speculative
+  /// writes) on this object — the speculation commit check's clock.
+  std::uint64_t write_epoch = 0;
 };
 
 /// Receives serializer notifications.  Called synchronously from within
@@ -181,22 +221,48 @@ class Serializer {
   TaskNode* root() { return root_; }
 
   /// Creates a task with the given specification, as a child of `parent`
-  /// (which must be running, or be the root).  Enforces the hierarchy rule:
-  /// the child's rights per object must be covered by the parent's record.
+  /// (which must be running, or be the root): link_task(prepare_task(...)).
   /// Emits on_task_ready before returning if nothing blocks the task.
-  ///
-  /// A non-null `tenant` makes the task a *program root* of that tenant;
-  /// otherwise the task inherits the parent's tenant (if any).  Tenant tasks
-  /// may only declare accesses to their own or shared objects (checked via
-  /// the tenant oracle before any state changes — a TenantIsolationError
-  /// leaves the serializer untouched).
   TaskNode* create_task(TaskNode* parent,
                         const std::vector<AccessRequest>& requests,
                         std::function<void(TaskContext&)> body,
-                        std::string name = "", TenantCtl* tenant = nullptr);
+                        std::string name = "", TenantCtl* tenant = nullptr) {
+    return link_task(prepare_task(parent, requests, std::move(body),
+                                  std::move(name), tenant));
+  }
 
-  /// Marks a ready task as executing.
+  /// Builds a task and its records and runs every check on its declaration,
+  /// but touches no serializer state, so a caller may run it outside its
+  /// discipline, on the thread running `parent`.  Enforces the hierarchy
+  /// rule: the child's rights per object must be covered by the parent's
+  /// record.  A non-null `tenant` makes the task a *program root* of that
+  /// tenant; otherwise the task inherits the parent's tenant (if any).
+  /// Tenant tasks may only declare accesses to their own or shared objects
+  /// (checked via the tenant oracle).  Any error leaves the serializer
+  /// exactly as it was.
+  std::unique_ptr<TaskNode> prepare_task(
+      TaskNode* parent, const std::vector<AccessRequest>& requests,
+      std::function<void(TaskContext&)> body, std::string name = "",
+      TenantCtl* tenant = nullptr) const;
+
+  /// Publishes a prepared task: assigns its id (and default name), links
+  /// its records into their queues in serial order, and emits on_task_ready
+  /// if nothing blocks it.
+  TaskNode* link_task(std::unique_ptr<TaskNode> task);
+
+  /// Marks a ready task as executing.  Touches only the task's atomic state
+  /// and the atomic backlog, so the thread that claimed the task may call
+  /// it outside the caller's discipline.
   void task_started(TaskNode* task);
+
+  /// True when the running `task` holds `mode` on `obj` as an immediate,
+  /// non-commute right and has linked no child's record ahead of it.  With
+  /// the hierarchy rule enforced, nothing that conflicts can then be ahead
+  /// (any other record that lands ahead is covered by a compatible one
+  /// already there), so the access needs no acquire().  Reads only fields
+  /// the task's own thread writes; that thread may call it outside the
+  /// caller's discipline.
+  bool granted(const TaskNode* task, ObjectId obj, std::uint8_t mode) const;
 
   /// Applies a with-cont specification update to a running task: converts
   /// deferred rights to immediate and/or retires rights.  Returns true when
@@ -278,7 +344,8 @@ class Serializer {
   /// (Section 3.3, Figure 7e: "the original task is creating tasks faster
   /// than they are being consumed").  Deliberately excludes running tasks:
   /// suspended creators must not count toward the backlog they wait on.
-  std::uint64_t backlog() const { return unstarted_; }
+  /// A seq_cst load, paired with task_started's decrement.
+  std::uint64_t backlog() const { return unstarted_.load(); }
 
   /// Total tasks ever created (excluding the root).
   std::uint64_t tasks_created() const { return next_task_id_ - 1; }
@@ -303,24 +370,6 @@ class Serializer {
   void reset();
 
  private:
-  /// Per-object queue with counters enabling O(1) answers in the common
-  /// cases.  Without them, widely-read objects (e.g. the index structures
-  /// every Cholesky task declares rd on) make enabledness checks and
-  /// post-completion rescans linear in the number of outstanding tasks —
-  /// quadratic overall.
-  struct ObjectQueue {
-    IntrusiveList<DeclRecord> records;
-    /// Records whose effective bits include write or commute (block reads).
-    std::size_t cnt_wc = 0;
-    /// Records whose effective bits include read or write (block commutes).
-    std::size_t cnt_rw = 0;
-    /// Records some task is currently waiting on (counted == true).
-    std::size_t cnt_counted = 0;
-    /// Exercised write/commute acquisitions (plus committed speculative
-    /// writes) on this object — the speculation commit check's clock.
-    std::uint64_t write_epoch = 0;
-  };
-
   ObjectQueue& queue_for(ObjectId obj);
 
   void link_before(ObjectQueue& q, DeclRecord* pos, DeclRecord* rec);
@@ -334,6 +383,7 @@ class Serializer {
 
   /// Re-evaluates counted records in `q` after a record weakened or left;
   /// fires ready/unblocked notifications for tasks whose counters reach 0.
+  /// Collects them in two member vectors, which keep their capacity.
   void reevaluate(ObjectQueue& q);
 
   /// Removes bits from a record; unlinks it when no bits remain.  Returns
@@ -342,31 +392,25 @@ class Serializer {
 
   void check_coverage(TaskNode* parent, const AccessRequest& req) const;
 
-  /// Hands out the task's next DeclRecord: an inline TaskNode slot while
-  /// they last, then a fresh arena slot.  Either way the address is stable
-  /// for the serializer's lifetime (TaskNodes are heap-pinned, the arena is
-  /// a deque), which the intrusive queue links require.
-  DeclRecord* new_record(TaskNode* task);
-
   void make_root();
 
   SerializerListener* listener_;
   bool enforce_hierarchy_;
   std::function<TenantId(ObjectId)> tenant_oracle_;
   TaskNode* root_;
+  /// Every task until reset().  TaskNodes are heap-pinned, and so are
+  /// their records, which the intrusive queue links require.
   std::vector<std::unique_ptr<TaskNode>> tasks_;
-  /// Overflow DeclRecords for tasks declaring more than kInlineRecords
-  /// objects.  Records are bump-allocated and live until the serializer
-  /// dies, matching the TaskNode lifetime policy (completed records are
-  /// unlinked, so dead records cost memory, never time).
-  std::deque<DeclRecord> record_arena_;
   std::unordered_map<ObjectId, ObjectQueue> queues_;
   std::uint64_t next_task_id_ = 1;
   std::uint64_t outstanding_ = 0;
-  std::uint64_t unstarted_ = 0;
+  /// Atomic: task_started runs outside the caller's discipline.
+  std::atomic<std::uint64_t> unstarted_{0};
   /// Task currently inside update_spec/acquire; its own unblock
   /// notification is suppressed (the return value carries it).
   TaskNode* in_update_ = nullptr;
+  std::vector<TaskNode*> now_ready_;
+  std::vector<TaskNode*> now_unblocked_;
 };
 
 }  // namespace jade

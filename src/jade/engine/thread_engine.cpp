@@ -43,8 +43,8 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
   // Pre-sized so publishing a slot is a single release store of slot_count_
   // (stealers scan the prefix without locking).
   slots_.resize(kMaxSlots);
-  // Ownership oracle for tenant isolation: called from create_task under
-  // mu_; the object table's lock is a leaf below it.
+  // Ownership oracle for tenant isolation: called from prepare_task, on the
+  // creating thread and without mu_.
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return object_info(obj).tenant; });
 }
@@ -115,7 +115,7 @@ bool ThreadEngine::idle_cancel(ThreadSlot* slot) {
 }
 
 void ThreadEngine::maybe_notify_all_asleep_locked() {
-  if (throttle_waiters_ > 0 &&
+  if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
       sleeping_threads_.load(std::memory_order_seq_cst) >=
           total_threads_.load(std::memory_order_seq_cst) &&
       ready_count_.load(std::memory_order_seq_cst) == 0)
@@ -131,8 +131,7 @@ void ThreadEngine::notify_if_all_asleep() {
   }
 }
 
-void ThreadEngine::idle_park(ThreadSlot* slot,
-                             bool (ThreadEngine::*extra_wake)()) {
+void ThreadEngine::idle_park(ThreadSlot* slot, bool drain) {
   // Register first, re-check after: a producer either finds us on the idle
   // stack (and unparks us) or published its work before our re-check.
   {
@@ -145,11 +144,8 @@ void ThreadEngine::idle_park(ThreadSlot* slot,
                   ready_count_.load(std::memory_order_seq_cst) > 0 ||
                   (spec_.enabled() &&
                    spec_epoch_.load(std::memory_order_seq_cst) !=
-                       slot->spec_seen_epoch);
-  if (!wake_now && extra_wake) {
-    std::lock_guard<std::mutex> lock(mu_);
-    wake_now = (this->*extra_wake)();
-  }
+                       slot->spec_seen_epoch) ||
+                  (drain && drain_exit_.load(std::memory_order_seq_cst));
   if (wake_now && idle_cancel(slot)) {
     sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
     return;
@@ -245,7 +241,7 @@ void ThreadEngine::worker_loop(ThreadSlot* slot) {
     // No ready work: run ahead speculatively rather than going idle.
     if (try_speculate(slot)) continue;
     if (spin_for_work(slot)) continue;
-    idle_park(slot, nullptr);
+    idle_park(slot, /*drain=*/false);
   }
 }
 
@@ -269,7 +265,8 @@ void ThreadEngine::record_error(std::exception_ptr err) {
     if (!first_error_) first_error_ = err;
     if (cv_waiters_ > 0) state_cv_.notify_all();
   }
-  unpark_all();  // the drain thread re-checks first_error_ before parking
+  drain_exit_.store(true, std::memory_order_seq_cst);
+  unpark_all();  // the drain thread re-checks drain_exit_ before parking
 }
 
 void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
@@ -279,8 +276,14 @@ void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
   for (ObjectId obj : held) commute_.release(obj, task);
 }
 
-bool ThreadEngine::drain_should_exit() {
-  return serializer_.outstanding() == 0 || first_error_ != nullptr;
+bool ThreadEngine::note_drained_locked() {
+  // outstanding() also touches 0 while the root is still creating tasks;
+  // the run is over only once the root has completed as well.
+  if (serializer_.root()->state() != TaskState::kCompleted ||
+      serializer_.outstanding() != 0)
+    return false;
+  drain_exit_.store(true, std::memory_order_seq_cst);
+  return true;
 }
 
 void ThreadEngine::enable_tracing(const ObsConfig& cfg) {
@@ -316,6 +319,7 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       }
       sleeping_threads_.store(0, std::memory_order_seq_cst);
       stop_.store(false, std::memory_order_seq_cst);
+      drain_exit_.store(false, std::memory_order_seq_cst);
     }
     ran_ = true;
   }
@@ -350,20 +354,17 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       if (!root_failed) {
         serializer_.complete_task(serializer_.root());
         drain_spec_decides_locked(root_slot);
+        note_drained_locked();
       }
       if (cv_waiters_ > 0) state_cv_.notify_all();
     }
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (drain_should_exit()) break;
-      }
+    while (!drain_exit_.load(std::memory_order_seq_cst)) {
       if (TaskNode* task = find_task(root_slot)) {
         execute(task, root_slot);
         continue;
       }
       if (try_speculate(root_slot)) continue;
-      idle_park(root_slot, &ThreadEngine::drain_should_exit);
+      idle_park(root_slot, /*drain=*/true);
     }
   }
   stop_.store(true, std::memory_order_seq_cst);
@@ -407,12 +408,17 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
 }
 
 void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
-  {
+  // Claiming the task (pop or steal) made this thread its only starter.
+  serializer_.task_started(task);
+  // Starting a task shrinks the backlog; suspended creators watch it.  A
+  // creator registers in throttle_waiters_ before it re-checks the backlog,
+  // and this thread looks for one after its decrement (all seq_cst): either
+  // the creator's re-check sees this start, or this thread sees the creator
+  // and notifies under mu_, which the creator holds from re-check to wait.
+  if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
+      throttle_.backlog_drained(serializer_.backlog())) {
     std::lock_guard<std::mutex> lock(mu_);
-    serializer_.task_started(task);
-    // Starting a task shrinks the backlog; suspended creators watch it.
-    if (throttle_waiters_ > 0 && throttle_.backlog_drained(serializer_.backlog()))
-      state_cv_.notify_all();
+    state_cv_.notify_all();
   }
   task->assigned_machine = slot->machine;
   if (tracer_.enabled()) {
@@ -461,7 +467,7 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
       serializer_.complete_task(task);
       slot->local_grants = 0;
       drain_spec_decides_locked(slot);
-      drained = serializer_.outstanding() == 0;
+      drained = note_drained_locked();
     }
     // Blocked tasks (commute token, dependency waits) re-check their
     // predicates; skipped entirely when nothing is blocked.
@@ -490,9 +496,12 @@ void ThreadEngine::spawn(TaskNode* parent,
   TenantCtl* pctl = parent->tenant();
   if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed))
     throw TenantUnwind{};
+  // Build and check the task before taking the lock; only linking it into
+  // the declaration queues needs mu_.
+  std::unique_ptr<TaskNode> prepared = serializer_.prepare_task(
+      parent, requests, std::move(body), std::move(name), tenant);
   std::unique_lock<std::mutex> lock(mu_);
-  TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
-                                           std::move(name), tenant);
+  TaskNode* task = serializer_.link_task(std::move(prepared));
   ++stats_.tasks_created;
   if (spec_.enabled() && spec_.offer(task)) {
     // Candidates bypass ready_count_, so run the same register-then-recheck
@@ -548,7 +557,8 @@ void ThreadEngine::spawn(TaskNode* parent,
     }
     ensure_spare_worker();
     ++cv_waiters_;
-    ++throttle_waiters_;
+    // Registered before the wait's first predicate check (see execute).
+    throttle_waiters_.fetch_add(1, std::memory_order_seq_cst);
     sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
     maybe_notify_all_asleep_locked();
     state_cv_.wait(lock, [&] {
@@ -559,7 +569,7 @@ void ThreadEngine::spawn(TaskNode* parent,
     });
     sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
     --cv_waiters_;
-    --throttle_waiters_;
+    throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
   tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
                   machine_of(parent),
@@ -596,6 +606,11 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   // is pinned to this thread through tls_spec_.
   if (task->speculating())
     return SpeculationExecutor::shadow(tls_spec_, task, obj, mode);
+  // An accessor on a right the task already holds needs no lock
+  // (Serializer::granted).  Speculation keeps the locked path: its commit
+  // check counts every exercised write.
+  if (!spec_.enabled() && serializer_.granted(task, obj, mode))
+    return buffers_.data(obj);
   {
     std::unique_lock<std::mutex> lock(mu_);
     const bool must_block = serializer_.acquire(task, obj, mode);
@@ -685,7 +700,7 @@ bool ThreadEngine::try_speculate(ThreadSlot* slot) {
       // decision was a no-op then, so decide here, at the body's end.
       decide_speculation_locked(task, slot);
       drain_spec_decides_locked(slot);
-      drained = serializer_.outstanding() == 0;
+      drained = note_drained_locked();
       if (cv_waiters_ > 0) state_cv_.notify_all();
     }
   }
@@ -707,7 +722,7 @@ void ThreadEngine::decide_speculation_locked(TaskNode* task,
     ++slot->executed;
     // Starting+completing the task shrank the backlog; suspended creators
     // watch it.
-    if (throttle_waiters_ > 0 &&
+    if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
         throttle_.backlog_drained(serializer_.backlog()))
       state_cv_.notify_all();
   }

@@ -6,7 +6,11 @@
 //
 // The execution path is decomposed so the one global mutex guards only what
 // is global by contract — the Serializer, which is single-threaded by
-// design — and nothing else (docs/PERFORMANCE.md spells out the hierarchy):
+// design — and nothing else (docs/PERFORMANCE.md spells out the hierarchy).
+// A task takes that mutex twice: once when its creator links it into the
+// declaration queues, once when it completes.  Building the task, starting
+// it, its accessors on rights it already holds, and the drain loop's
+// polling take no lock.
 //
 //   * Ready-task dispatch runs through per-thread Chase–Lev work-stealing
 //     deques (support/work_steal_deque.hpp).  A task enabled by thread T is
@@ -141,8 +145,9 @@ class ThreadEngine : public Engine,
   void on_task_unblocked(TaskNode* task) override;
 
   void worker_loop(ThreadSlot* slot);
-  /// Runs one ready task to completion on `slot`'s thread.  Takes mu_ only
-  /// around the serializer transitions; the body runs with no lock held.
+  /// Runs one claimed task to completion on `slot`'s thread.  Starts it
+  /// without a lock and takes mu_ once, to complete it; the body runs with
+  /// no lock held.
   void execute(TaskNode* task, ThreadSlot* slot);
   /// Pops the thread's own deque, then tries to steal; nullptr when no task
   /// could be obtained (the caller decides whether to park).
@@ -155,9 +160,9 @@ class ThreadEngine : public Engine,
   /// which also hands the core back to the producer on small machines.
   bool spin_for_work(ThreadSlot* slot);
   /// Parks `slot` until a producer wakes it.  Registers in the idle set
-  /// first and re-checks for work (and `extra_wake`, when given) after
-  /// registering, so a concurrent producer cannot be missed.
-  void idle_park(ThreadSlot* slot, bool (ThreadEngine::*extra_wake)());
+  /// first and re-checks for work (and, for the `drain` thread, drain_exit_)
+  /// after registering, so a concurrent producer cannot be missed.
+  void idle_park(ThreadSlot* slot, bool drain);
   /// Removes `slot` from the idle set; false when a producer already
   /// claimed it (an unpark is in flight and must be consumed).
   bool idle_cancel(ThreadSlot* slot);
@@ -171,9 +176,9 @@ class ThreadEngine : public Engine,
   void notify_if_all_asleep();
   /// Same check, for callers already holding mu_.
   void maybe_notify_all_asleep_locked();
-  /// Drain-thread wake condition, checked under mu_ after idle
-  /// registration: the run is over or failing.
-  bool drain_should_exit();
+  /// Call under mu_ after a complete_task: sets drain_exit_ (and returns
+  /// true) once the root has completed and nothing is outstanding.
+  bool note_drained_locked();
 
   /// Blocks the calling task until on_task_unblocked fires for it; called
   /// with mu_ held.
@@ -246,7 +251,8 @@ class ThreadEngine : public Engine,
   ThrottleGate throttle_;
 
   // --- serializer domain: guarded by mu_ -----------------------------------
-  // mu_ serializes all Serializer calls (single-threaded by contract) plus
+  // mu_ serializes the Serializer calls (single-threaded by contract; the
+  // exempt prepare_task, task_started and granted are made without it) plus
   // the blocked-task coordination that is driven by serializer callbacks:
   // unblock delivery, commute-token ownership, throttle waits, first_error_.
   std::mutex mu_;
@@ -275,8 +281,9 @@ class ThreadEngine : public Engine,
   /// entirely when zero, so unblocked hot paths never broadcast.
   int cv_waiters_ = 0;
   /// Creators currently suspended in the throttle loop (subset of
-  /// cv_waiters_); task_started only notifies when one exists.
-  int throttle_waiters_ = 0;
+  /// cv_waiters_).  Changed under mu_; read without it by execute(), which
+  /// notifies only when one exists.
+  std::atomic<int> throttle_waiters_{0};
   std::vector<std::thread> workers_;
   /// True once run() has executed; the next run() resets the scheduling
   /// state for a fresh graph (objects and buffers persist).
@@ -314,6 +321,9 @@ class ThreadEngine : public Engine,
   /// compensating workers are spawned).
   std::atomic<int> total_threads_{0};
   std::atomic<bool> stop_{false};
+  /// The drain loop's exit condition: the graph drained (set by
+  /// note_drained_locked) or the first error was recorded.
+  std::atomic<bool> drain_exit_{false};
 
   std::chrono::steady_clock::time_point trace_epoch_{};
 };

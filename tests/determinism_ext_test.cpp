@@ -9,10 +9,13 @@
 // the result.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
+#include "jade/support/error.hpp"
 #include "jade/support/rng.hpp"
 
 namespace jade {
@@ -153,8 +156,13 @@ void emit_task(TaskContext& ctx, const TaskSpec& ts,
               }
             }
             // Reacquire after the children: must observe their effects.
+            // With two or more children, a reading child precedes the aux
+            // read on aux[0].
+            std::uint64_t seen = 0x5eedULL;
+            if (!ts.aux.empty())
+              seen ^= t.read(objs[static_cast<std::size_t>(ts.aux[0])])[0];
             auto h = t.read_write(target);
-            h[0] = mix(h[0], 0x5eedULL);
+            h[0] = mix(h[0], seen);
           });
       break;
   }
@@ -190,6 +198,25 @@ RuntimeConfig thread_cfg(int threads, bool throttle = false) {
   return cfg;
 }
 
+/// ThreadEngine on 1, 2, 4 and 8 workers with speculation and the hierarchy
+/// rule each on and off.  It grants a held right without its lock only
+/// while speculation is off and the rule is on; the rest take the locked
+/// path.
+std::vector<RuntimeConfig> thread_access_paths() {
+  std::vector<RuntimeConfig> out;
+  for (int threads : {1, 2, 4, 8}) {
+    for (bool spec : {false, true}) {
+      for (bool hierarchy : {true, false}) {
+        RuntimeConfig cfg = thread_cfg(threads);
+        cfg.sched.spec.enabled = spec;
+        cfg.enforce_hierarchy = hierarchy;
+        out.push_back(cfg);
+      }
+    }
+  }
+  return out;
+}
+
 RuntimeConfig sim_cfg(ClusterConfig cluster, SchedPolicy sched = {}) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kSim;
@@ -213,6 +240,18 @@ TEST_P(DeterminismExtTest, AllEnginesMatchSerial) {
   EXPECT_EQ(run_program(p, sim_cfg(presets::hetero_workstations(3))),
             serial);
   EXPECT_EQ(run_program(p, sim_cfg(presets::hrv(3))), serial);
+}
+
+TEST_P(DeterminismExtTest, ThreadEngineMatchesSerialOnEveryAccessPath) {
+  // Parents that reacquire after their children, deferred rights converted
+  // and then accessed, and commuters, on the lock-free grant and on the
+  // locked path.
+  const auto p = generate(GetParam() ^ 0x10cdULL, 6, 60);
+  const auto serial = run_program(p, serial_cfg());
+  for (const RuntimeConfig& cfg : thread_access_paths())
+    EXPECT_EQ(run_program(p, cfg), serial)
+        << "threads=" << cfg.threads << " spec=" << cfg.sched.spec.enabled
+        << " hierarchy=" << cfg.enforce_hierarchy;
 }
 
 TEST_P(DeterminismExtTest, SchedulingPoliciesIrrelevantToResult) {
@@ -250,6 +289,90 @@ TEST_P(DeterminismExtTest, RepeatedRunsIdenticalIncludingVirtualTime) {
   const auto b = once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+/// Ways a task body can exercise a right it does not hold immediately.
+enum class Misuse {
+  kCommuteUnderRdWr,
+  kDeferred,
+  kRetiredWrite,
+  kRetiredObject,
+  kNeverDeclared,
+};
+
+/// The error a program raises, as (type, message); empty when it runs
+/// clean.  A writer ahead of the offending task gives the speculative
+/// configurations a bet to place.
+std::pair<std::string, std::string> access_error(Misuse misuse,
+                                                 RuntimeConfig cfg) {
+  Runtime rt(std::move(cfg));
+  auto a = rt.alloc<std::uint64_t>(2, "a");
+  auto b = rt.alloc<std::uint64_t>(2, "b");
+  auto c = rt.alloc<std::uint64_t>(2, "c");
+  const auto body = [a, b, c, misuse](TaskContext& t) {
+    switch (misuse) {
+      case Misuse::kCommuteUnderRdWr:
+        t.commute(a)[0] += 1;
+        break;
+      case Misuse::kDeferred:
+        (void)t.read(b)[0];
+        break;
+      case Misuse::kRetiredWrite:
+        t.read_write(a)[0] += 1;
+        t.with_cont([&](AccessDecl& d) { d.no_wr(a); });
+        (void)t.read(a)[0];
+        t.write(a)[0] = 7;
+        break;
+      case Misuse::kRetiredObject:
+        t.with_cont([&](AccessDecl& d) { d.no_rd(b); });
+        (void)t.read(b)[0];
+        break;
+      case Misuse::kNeverDeclared:
+        (void)t.read(c)[0];
+        break;
+    }
+  };
+  try {
+    rt.run([&](TaskContext& ctx) {
+      ctx.withonly(
+          [&](AccessDecl& d) {
+            d.rd_wr(a);
+            d.rd_wr(b);
+          },
+          [a, b](TaskContext& t) {
+            t.read_write(a)[0] += 1;
+            t.read_write(b)[0] += 1;
+          });
+      ctx.withonly(
+          [&](AccessDecl& d) {
+            d.rd_wr(a);
+            d.df_rd(b);
+          },
+          body);
+    });
+  } catch (const UndeclaredAccessError& e) {
+    return {"UndeclaredAccessError", e.what()};
+  } catch (const std::exception& e) {
+    return {"other", e.what()};
+  }
+  return {};
+}
+
+TEST(AccessErrors, EveryAccessPathRaisesTheLockedPathsError) {
+  // An access that is not a held right must miss the lock-free grant and
+  // raise exactly the locked check's error.
+  for (Misuse misuse :
+       {Misuse::kCommuteUnderRdWr, Misuse::kDeferred, Misuse::kRetiredWrite,
+        Misuse::kRetiredObject, Misuse::kNeverDeclared}) {
+    const auto expect = access_error(misuse, serial_cfg());
+    EXPECT_EQ(expect.first, "UndeclaredAccessError")
+        << "misuse " << static_cast<int>(misuse);
+    for (const RuntimeConfig& cfg : thread_access_paths())
+      EXPECT_EQ(access_error(misuse, cfg), expect)
+          << "misuse " << static_cast<int>(misuse) << " threads="
+          << cfg.threads << " spec=" << cfg.sched.spec.enabled
+          << " hierarchy=" << cfg.enforce_hierarchy;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismExtTest,

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "bounded_wait.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
 
@@ -193,6 +194,43 @@ TEST_P(HierarchyTest, CoverageViolationInGrandchild) {
                      });
       }),
       HierarchyViolationError);
+}
+
+TEST_P(HierarchyTest, RejectedChildLeavesNoRecords) {
+  // The child's first request is valid and its second breaks the hierarchy
+  // rule.  The rejected child must leave no record behind: the parent
+  // catches the error, creates a valid child, waits for it and finishes.
+  // A stray record would hold `a` for a task that never runs.
+  RuntimeConfig cfg = config_for(GetParam(), 2);
+  if (GetParam() == EngineKind::kSim) cfg.cluster = presets::ipsc860(2);
+  run_bounded("rejected-child program", [&] {
+    Runtime rt(cfg);
+    auto a = rt.alloc<int>(1, "a");
+    auto b = rt.alloc<int>(1, "b");
+    bool rejected = false;
+    rt.run([&](TaskContext& ctx) {
+      ctx.withonly([&](AccessDecl& d) { d.rd_wr(a); },
+                   [a, b, &rejected](TaskContext& t) {
+                     const auto uncovered = [&](AccessDecl& d) {
+                       d.rd_wr(a);
+                       d.rd_wr(b);
+                     };
+                     try {
+                       t.withonly(uncovered, [](TaskContext&) {});
+                     } catch (const HierarchyViolationError&) {
+                       rejected = true;
+                     }
+                     t.withonly([&](AccessDecl& d) { d.rd_wr(a); },
+                                [a](TaskContext& c) {
+                                  c.read_write(a)[0] += 1;
+                                });
+                     t.read_write(a)[0] *= 10;
+                   });
+    });
+    EXPECT_TRUE(rejected);
+    EXPECT_EQ(rt.get(a)[0], 10);
+    EXPECT_EQ(rt.stats().tasks_created, 2u);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, HierarchyTest,

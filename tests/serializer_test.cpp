@@ -336,6 +336,88 @@ TEST_F(SerializerTest, NoStatementsInWithonlyRejected) {
                SpecUpdateError);
 }
 
+TEST_F(SerializerTest, RejectedWithonlyLeavesNoRecords) {
+  // The child's first request (rd_wr A) is valid; its second breaks the
+  // hierarchy rule or carries a no_* statement.  Either error must leave
+  // the serializer as it was: no record on A, nothing outstanding, no id
+  // consumed.
+  TaskNode* parent = make_root_child([&](AccessDecl& d) { d.rd_wr(A); });
+  ser.task_started(parent);
+  const auto queue_a = ser.queue_snapshot(A.id());
+  const auto queue_b = ser.queue_snapshot(B.id());
+  const std::uint64_t outstanding = ser.outstanding();
+  const std::uint64_t backlog = ser.backlog();
+  const std::uint64_t created = ser.tasks_created();
+  const auto unchanged = [&] {
+    EXPECT_EQ(ser.queue_snapshot(A.id()), queue_a);
+    EXPECT_EQ(ser.queue_snapshot(B.id()), queue_b);
+    EXPECT_EQ(ser.outstanding(), outstanding);
+    EXPECT_EQ(ser.backlog(), backlog);
+    EXPECT_EQ(ser.tasks_created(), created);
+  };
+  const auto uncovered = [&](AccessDecl& d) {
+    d.rd_wr(A);
+    d.rd_wr(B);
+  };
+  const auto with_no_rd = [&](AccessDecl& d) {
+    d.rd_wr(A);
+    d.no_rd(B);
+  };
+  EXPECT_THROW(make(parent, uncovered), HierarchyViolationError);
+  unchanged();
+  EXPECT_THROW(make(parent, with_no_rd), SpecUpdateError);
+  unchanged();
+
+  // A valid child afterwards is linked, ready and numbered as if the
+  // rejected ones never happened; the parent then waits on it.
+  TaskNode* child = make(parent, [&](AccessDecl& d) { d.rd_wr(A); });
+  EXPECT_EQ(child->id(), created + 1);
+  EXPECT_EQ(child->state(), TaskState::kReady);
+  EXPECT_EQ(ser.queue_snapshot(A.id()).size(), 2u);
+  EXPECT_TRUE(ser.acquire(parent, A.id(), kRead | kWrite));
+}
+
+TEST_F(SerializerTest, GrantedOnlyForHeldRightsWithNoChildAhead) {
+  TaskNode* t = make_root_child([&](AccessDecl& d) {
+    d.rd_wr(A);
+    d.df_rd(B);
+  });
+  TaskNode* c = make_root_child([&](AccessDecl& d) { d.cm(obj(3)); });
+  ser.task_started(t);
+  ser.task_started(c);
+  EXPECT_TRUE(ser.granted(t, A.id(), kRead));
+  EXPECT_TRUE(ser.granted(t, A.id(), kRead | kWrite));
+  // Deferred, undeclared, commute (it needs the engine's token), and the
+  // root, which holds no records.
+  EXPECT_FALSE(ser.granted(t, B.id(), kRead));
+  EXPECT_FALSE(ser.granted(t, obj(4).id(), kRead));
+  EXPECT_FALSE(ser.granted(c, 3, kCommute));
+  EXPECT_FALSE(ser.granted(ser.root(), A.id(), kRead));
+
+  // Converting the deferred right makes it a held right.
+  EXPECT_FALSE(ser.update_spec(t, spec([&](AccessDecl& d) { d.rd(B); })));
+  EXPECT_TRUE(ser.granted(t, B.id(), kRead));
+  // Retiring a right takes it away.
+  EXPECT_FALSE(ser.update_spec(t, spec([&](AccessDecl& d) { d.no_rd(B); })));
+  EXPECT_FALSE(ser.granted(t, B.id(), kRead));
+
+  // A child linked ahead of the record sends every later access of that
+  // object through acquire(), which waits for the child; the others keep
+  // their grant.
+  TaskNode* kid = make(t, [&](AccessDecl& d) { d.rd(A); });
+  EXPECT_EQ(kid->state(), TaskState::kReady);
+  EXPECT_FALSE(ser.granted(t, A.id(), kRead));
+  EXPECT_FALSE(ser.acquire(t, A.id(), kRead));
+  EXPECT_TRUE(ser.acquire(t, A.id(), kRead | kWrite));
+
+  RecordingListener l2;
+  Serializer loose(&l2, /*enforce_hierarchy=*/false);
+  TaskNode* u = loose.create_task(
+      loose.root(), spec([&](AccessDecl& d) { d.rd(A); }), nullptr);
+  loose.task_started(u);
+  EXPECT_FALSE(loose.granted(u, A.id(), kRead));
+}
+
 TEST_F(SerializerTest, OutstandingCountsLifecycle) {
   EXPECT_EQ(ser.outstanding(), 0u);
   TaskNode* t1 = make_root_child([&](AccessDecl& d) { d.rd(A); });

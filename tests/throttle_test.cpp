@@ -4,6 +4,10 @@
 // same gate (fair-share windows, no starvation).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bounded_wait.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/core/tenant.hpp"
 #include "jade/mach/presets.hpp"
@@ -24,96 +28,169 @@ RuntimeConfig throttled_config(EngineKind kind, std::uint64_t high,
   return cfg;
 }
 
-class ThrottleTest : public ::testing::TestWithParam<EngineKind> {};
+struct ThrottleCase {
+  EngineKind engine;
+  int workers;
+};
+
+class ThrottleTest : public ::testing::TestWithParam<ThrottleCase> {
+ protected:
+  RuntimeConfig config(std::uint64_t high, std::uint64_t low) const {
+    return throttled_config(GetParam().engine, high, low, GetParam().workers);
+  }
+  bool sim() const { return GetParam().engine == EngineKind::kSim; }
+
+  /// Runs `fn` once on SimEngine (virtual time repeats itself exactly) and
+  /// 10 times on ThreadEngine, each run under a bounded wait: a creator
+  /// that misses its wakeup fails the test instead of hanging it.
+  template <typename F>
+  void repeat_bounded(const F& fn) const {
+    const int reps = sim() ? 1 : 10;
+    for (int rep = 0; rep < reps; ++rep) run_bounded("throttled run", fn);
+  }
+};
 
 TEST_P(ThrottleTest, ResultUnchangedUnderTightThrottle) {
-  Runtime rt(throttled_config(GetParam(), 4, 2));
-  // Unsigned: 100 doublings wrap, which is well-defined and still
-  // order-sensitive (the point of the test).
-  auto v = rt.alloc<std::uint64_t>(1, "v");
-  constexpr int kTasks = 100;
-  rt.run([&](TaskContext& ctx) {
-    for (int i = 0; i < kTasks; ++i) {
-      ctx.withonly([&](AccessDecl& d) { d.rd_wr(v); },
-                   [v, i](TaskContext& t) {
-                     auto h = t.read_write(v);
-                     h[0] = h[0] * 2 + (i % 3);
-                   });
+  repeat_bounded([&] {
+    Runtime rt(config(4, 2));
+    // Unsigned: 100 doublings wrap, which is well-defined and still
+    // order-sensitive (the point of the test).
+    auto v = rt.alloc<std::uint64_t>(1, "v");
+    constexpr int kTasks = 100;
+    rt.run([&](TaskContext& ctx) {
+      for (int i = 0; i < kTasks; ++i) {
+        ctx.withonly([&](AccessDecl& d) { d.rd_wr(v); },
+                     [v, i](TaskContext& t) {
+                       auto h = t.read_write(v);
+                       h[0] = h[0] * 2 + (i % 3);
+                     });
+      }
+    });
+    std::uint64_t expect = 0;
+    for (int i = 0; i < kTasks; ++i) expect = expect * 2 + (i % 3);
+    EXPECT_EQ(rt.get(v)[0], expect);
+    // Whether the creator ever outruns the workers is timing-dependent on
+    // the thread engine; only virtual time makes the suspension count
+    // deterministic.
+    if (sim()) {
+      EXPECT_GT(rt.stats().throttle_suspensions, 0u);
     }
   });
-  std::uint64_t expect = 0;
-  for (int i = 0; i < kTasks; ++i) expect = expect * 2 + (i % 3);
-  EXPECT_EQ(rt.get(v)[0], expect);
-  // Whether the creator ever outruns the workers is timing-dependent on
-  // the thread engine; only virtual time makes the suspension count
-  // deterministic.
-  if (GetParam() == EngineKind::kSim)
-    EXPECT_GT(rt.stats().throttle_suspensions, 0u);
+}
+
+TEST_P(ThrottleTest, TightestWaterMarkNeverLosesAWakeup) {
+  // High water 1, low water 0: the creator suspends after almost every
+  // creation and resumes only once every created task has started, so
+  // nearly every start races a suspending creator.  A dependence chain
+  // interleaved with independent tasks keeps both kinds of start busy.
+  repeat_bounded([&] {
+    Runtime rt(config(1, 0));
+    constexpr int kTasks = 300;
+    auto chain = rt.alloc<std::uint64_t>(1, "chain");
+    std::vector<SharedRef<std::uint64_t>> cells;
+    for (int i = 0; i < 16; ++i) cells.push_back(rt.alloc<std::uint64_t>(1));
+    rt.run([&](TaskContext& ctx) {
+      for (int i = 0; i < kTasks; ++i) {
+        if (i % 2 == 0) {
+          ctx.withonly([&](AccessDecl& d) { d.rd_wr(chain); },
+                       [chain, i](TaskContext& t) {
+                         auto h = t.read_write(chain);
+                         h[0] = h[0] * 3 + static_cast<std::uint64_t>(i);
+                       });
+        } else {
+          auto cell = cells[static_cast<std::size_t>(i % 16)];
+          ctx.withonly([&](AccessDecl& d) { d.rd_wr(cell); },
+                       [cell](TaskContext& t) { t.read_write(cell)[0] += 1; });
+        }
+      }
+    });
+    std::uint64_t expect = 0;
+    for (int i = 0; i < kTasks; i += 2)
+      expect = expect * 3 + static_cast<std::uint64_t>(i);
+    EXPECT_EQ(rt.get(chain)[0], expect);
+    std::uint64_t increments = 0;
+    for (auto& cell : cells) increments += rt.get(cell)[0];
+    EXPECT_EQ(increments, static_cast<std::uint64_t>(kTasks / 2));
+    EXPECT_EQ(rt.stats().tasks_created, static_cast<std::uint64_t>(kTasks));
+  });
 }
 
 TEST_P(ThrottleTest, IndependentTasksStillAllComplete) {
-  Runtime rt(throttled_config(GetParam(), 8, 4));
-  constexpr int kTasks = 64;
-  std::vector<SharedRef<int>> objs;
-  for (int i = 0; i < kTasks; ++i) objs.push_back(rt.alloc<int>(1));
-  rt.run([&](TaskContext& ctx) {
-    for (int i = 0; i < kTasks; ++i) {
-      auto o = objs[i];
-      ctx.withonly([&](AccessDecl& d) { d.wr(o); },
-                   [o, i](TaskContext& t) { t.write(o)[0] = i + 1; });
-    }
+  repeat_bounded([&] {
+    Runtime rt(config(8, 4));
+    constexpr int kTasks = 64;
+    std::vector<SharedRef<int>> objs;
+    for (int i = 0; i < kTasks; ++i) objs.push_back(rt.alloc<int>(1));
+    rt.run([&](TaskContext& ctx) {
+      for (int i = 0; i < kTasks; ++i) {
+        auto o = objs[i];
+        ctx.withonly([&](AccessDecl& d) { d.wr(o); },
+                     [o, i](TaskContext& t) { t.write(o)[0] = i + 1; });
+      }
+    });
+    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(rt.get(objs[i])[0], i + 1);
+    EXPECT_EQ(rt.stats().tasks_created, static_cast<std::uint64_t>(kTasks));
   });
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(rt.get(objs[i])[0], i + 1);
-  EXPECT_EQ(rt.stats().tasks_created, static_cast<std::uint64_t>(kTasks));
 }
 
 TEST_P(ThrottleTest, NestedCreatorsThrottleWithoutDeadlock) {
   // Parents that fan out children while the throttle is engaged: the paper's
   // guarantee is that suspending creators can never deadlock because a task
   // only ever waits for earlier tasks.
-  Runtime rt(throttled_config(GetParam(), 6, 3));
-  auto acc = rt.alloc<std::int64_t>(1, "acc");
-  constexpr int kParents = 8;
-  constexpr int kKids = 8;
-  rt.run([&](TaskContext& ctx) {
-    for (int p = 0; p < kParents; ++p) {
-      ctx.withonly([&](AccessDecl& d) { d.cm(acc); },
-                   [acc](TaskContext& t) {
-                     for (int k = 0; k < kKids; ++k) {
-                       t.withonly([&](AccessDecl& d) { d.cm(acc); },
-                                  [acc](TaskContext& c) {
-                                    c.commute(acc)[0] += 1;
-                                  });
-                     }
-                   });
-    }
+  repeat_bounded([&] {
+    Runtime rt(config(6, 3));
+    auto acc = rt.alloc<std::int64_t>(1, "acc");
+    constexpr int kParents = 8;
+    constexpr int kKids = 8;
+    rt.run([&](TaskContext& ctx) {
+      for (int p = 0; p < kParents; ++p) {
+        ctx.withonly([&](AccessDecl& d) { d.cm(acc); },
+                     [acc](TaskContext& t) {
+                       for (int k = 0; k < kKids; ++k) {
+                         t.withonly([&](AccessDecl& d) { d.cm(acc); },
+                                    [acc](TaskContext& c) {
+                                      c.commute(acc)[0] += 1;
+                                    });
+                       }
+                     });
+      }
+    });
+    EXPECT_EQ(rt.get(acc)[0], kParents * kKids);
   });
-  EXPECT_EQ(rt.get(acc)[0], kParents * kKids);
 }
 
 TEST_P(ThrottleTest, DisabledThrottleNeverSuspends) {
-  RuntimeConfig cfg;
-  cfg.engine = GetParam();
-  cfg.threads = 2;
-  if (GetParam() == EngineKind::kSim) cfg.cluster = presets::ideal(2);
-  Runtime rt(cfg);
-  auto v = rt.alloc<int>(1);
-  rt.run([&](TaskContext& ctx) {
-    for (int i = 0; i < 50; ++i)
-      ctx.withonly([&](AccessDecl& d) { d.cm(v); },
-                   [v](TaskContext& t) { t.commute(v)[0] += 1; });
+  repeat_bounded([&] {
+    RuntimeConfig cfg;
+    cfg.engine = GetParam().engine;
+    cfg.threads = GetParam().workers;
+    if (sim()) cfg.cluster = presets::ideal(GetParam().workers);
+    Runtime rt(cfg);
+    auto v = rt.alloc<int>(1);
+    rt.run([&](TaskContext& ctx) {
+      for (int i = 0; i < 50; ++i)
+        ctx.withonly([&](AccessDecl& d) { d.cm(v); },
+                     [v](TaskContext& t) { t.commute(v)[0] += 1; });
+    });
+    EXPECT_EQ(rt.stats().throttle_suspensions, 0u);
+    EXPECT_EQ(rt.get(v)[0], 50);
   });
-  EXPECT_EQ(rt.stats().throttle_suspensions, 0u);
-  EXPECT_EQ(rt.get(v)[0], 50);
+}
+
+std::string throttle_case_name(
+    const ::testing::TestParamInfo<ThrottleCase>& info) {
+  if (info.param.engine == EngineKind::kSim) return "Sim";
+  // Two workers keep the suite's original ThreadEngine name.
+  if (info.param.workers == 2) return "Thread";
+  return "Thread" + std::to_string(info.param.workers);
 }
 
 INSTANTIATE_TEST_SUITE_P(ParallelEngines, ThrottleTest,
-                         ::testing::Values(EngineKind::kThread,
-                                           EngineKind::kSim),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kThread ? "Thread"
-                                                                    : "Sim";
-                         });
+                         ::testing::Values(ThrottleCase{EngineKind::kThread, 2},
+                                           ThrottleCase{EngineKind::kThread, 1},
+                                           ThrottleCase{EngineKind::kThread, 8},
+                                           ThrottleCase{EngineKind::kSim, 2}),
+                         throttle_case_name);
 
 // --- multi-tenant fairness (per-tenant quotas through the shared gate) -----
 
