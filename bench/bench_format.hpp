@@ -9,7 +9,8 @@
 // Field insertion order is preserved and numbers are printed with fixed
 // precision, so re-running a deterministic bench diffs cleanly.  The
 // --json-out / --json-out=PATH flag convention is parsed here too, so every
-// bench spells it the same way.
+// bench spells it the same way.  Wall-clock rows end with stamp_host(), the
+// host they were measured on; virtual-time rows are host-independent.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,13 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#ifndef JADE_BUILD_TYPE
+#define JADE_BUILD_TYPE "unknown"
+#endif
 
 namespace jade::bench {
 
@@ -57,6 +63,23 @@ class JsonRow {
   JsonRow& boolean(const std::string& key, bool value) {
     fields_.emplace_back(key, value ? "true" : "false");
     return *this;
+  }
+
+  /// Appends the host a wall-clock row was measured on: its core count,
+  /// the build type and the compiler.  Such a row means nothing without
+  /// them.
+  JsonRow& stamp_host() {
+#if defined(__clang__)
+    const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const char* compiler = "gcc " __VERSION__;
+#else
+    const char* compiler = "unknown";
+#endif
+    count("hardware_cores",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    str("build_type", JADE_BUILD_TYPE);
+    return str("compiler", compiler);
   }
 
   const std::vector<std::pair<std::string, std::string>>& fields() const {

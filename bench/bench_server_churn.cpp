@@ -19,6 +19,10 @@
 //     then runs a follow-up wave on the same engine to show forced teardown
 //     left it serving.
 //
+// Every phase also records peak_threads, the process's thread count sampled
+// on the host thread while its server runs: tasks that wait park their
+// fibers, so a server runs on its dispatcher and workers and nothing else.
+//
 // Results land in a JSON artifact (--json-out, default
 // BENCH_server_churn.json) so CI can smoke-run and track them.
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -63,6 +68,28 @@ void die(const std::string& why) {
   std::exit(1);
 }
 
+/// Peak thread count of this process, read from /proc/self/status on the
+/// host thread.  A read costs microseconds, so sample() reads at most once a
+/// millisecond unless forced.
+class ThreadPeak {
+ public:
+  void sample(bool force = false) {
+    const double now = now_seconds();
+    if (!force && now - last_ < 1e-3) return;
+    last_ = now;
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+      if (line.rfind("Threads:", 0) == 0)
+        peak_ = std::max(peak_, std::stoi(line.substr(8)));
+  }
+  int peak() const { return peak_; }
+
+ private:
+  double last_ = 0;
+  int peak_ = 0;
+};
+
 ServerConfig thread_server(std::size_t max_active, std::size_t max_queued,
                            std::uint64_t quota_pool) {
   ServerConfig cfg;
@@ -82,6 +109,7 @@ struct HoldResult {
   double drain_seconds = 0;
   double p50 = 0;
   double p99 = 0;
+  int peak_threads = 0;
 };
 
 /// Phase 1: every session's graph parks one task on a host gate, so all of
@@ -93,6 +121,7 @@ HoldResult run_concurrency_hold(int sessions) {
   std::atomic<bool> release{false};
   std::vector<std::shared_ptr<Session>> held;
   held.reserve(static_cast<std::size_t>(sessions));
+  ThreadPeak threads;
 
   const double t0 = now_seconds();
   for (int i = 0; i < sessions; ++i) {
@@ -105,6 +134,7 @@ HoldResult run_concurrency_hold(int sessions) {
       });
     });
     held.push_back(std::move(s));
+    threads.sample();
   }
   r.admit_submit_seconds = now_seconds() - t0;
 
@@ -120,9 +150,12 @@ HoldResult run_concurrency_hold(int sessions) {
     if (s->wait() != SessionState::kCompleted) die("hold session not clean");
     latencies.push_back(s->stats().latency_seconds);
     s->close();
+    threads.sample();
   }
   r.drain_seconds = now_seconds() - t1;
   if (srv.active_sessions() != 0) die("hold slots not released");
+  threads.sample(/*force=*/true);
+  r.peak_threads = threads.peak();
   r.p50 = percentile(latencies, 0.50);
   r.p99 = percentile(latencies, 0.99);
   return r;
@@ -137,6 +170,7 @@ struct ChurnResult {
   double tasks_per_sec = 0;
   double p50 = 0;
   double p99 = 0;
+  int peak_threads = 0;
 };
 
 /// Phase 2: a stream of short tenant programs through a small admission
@@ -158,6 +192,7 @@ ChurnResult run_churn(int sessions, int tasks_per_session) {
   std::vector<double> latencies;
   latencies.reserve(static_cast<std::size_t>(sessions));
   std::uint64_t total_tasks = 0;
+  ThreadPeak threads;
 
   auto retire_front = [&] {
     InFlight f = std::move(outstanding.front());
@@ -170,6 +205,7 @@ ChurnResult run_churn(int sessions, int tasks_per_session) {
     total_tasks += st.tasks_created;
     latencies.push_back(st.latency_seconds);
     f.session->close();
+    threads.sample();
   };
 
   const double t0 = now_seconds();
@@ -186,9 +222,12 @@ ChurnResult run_churn(int sessions, int tasks_per_session) {
       }
     });
     outstanding.push_back({std::move(s), ctr});
+    threads.sample();
   }
   while (!outstanding.empty()) retire_front();
   r.wall_seconds = now_seconds() - t0;
+  threads.sample(/*force=*/true);
+  r.peak_threads = threads.peak();
   r.submissions_per_sec = sessions / r.wall_seconds;
   r.tasks_per_sec = static_cast<double>(total_tasks) / r.wall_seconds;
   r.p50 = percentile(latencies, 0.50);
@@ -202,6 +241,7 @@ struct TeardownResult {
   int completed = 0;
   int followup_sessions = 0;
   double followup_wall_seconds = 0;
+  int peak_threads = 0;
 };
 
 /// Phase 3: forced teardown of a quarter of a running wave, then a
@@ -212,6 +252,7 @@ TeardownResult run_teardown(int sessions) {
   JadeServer srv(thread_server(static_cast<std::size_t>(sessions) + 8, 0, 0));
   std::vector<std::shared_ptr<Session>> wave;
   wave.reserve(static_cast<std::size_t>(sessions));
+  ThreadPeak threads;
   for (int i = 0; i < sessions; ++i) {
     auto s = srv.open_session("mix" + std::to_string(i));
     if (s == nullptr) die("teardown session rejected");
@@ -233,6 +274,7 @@ TeardownResult run_teardown(int sessions) {
       });
     }
     wave.push_back(std::move(s));
+    threads.sample();
   }
   for (int i = 0; i < sessions; i += 4)
     wave[static_cast<std::size_t>(i)]->cancel();
@@ -246,6 +288,7 @@ TeardownResult run_teardown(int sessions) {
       ++r.completed;
     }
     wave[static_cast<std::size_t>(i)]->close();
+    threads.sample();
   }
 
   r.followup_sessions = sessions / 4;
@@ -264,22 +307,21 @@ TeardownResult run_teardown(int sessions) {
     if (s->wait() != SessionState::kCompleted)
       die("engine not serving after teardown");
     s->close();
+    threads.sample();
   }
   r.followup_wall_seconds = now_seconds() - t0;
+  threads.sample(/*force=*/true);
+  r.peak_threads = threads.peak();
   return r;
 }
 
-/// Uniform bench_format rows, one per phase (keyed by "phase"); the
-/// hardware core count rides on every row so artifacts stay comparable
-/// across hosts.
+/// Uniform bench_format rows, one per phase (keyed by "phase"), each
+/// stamped with the host it was measured on.
 void write_json(const std::string& path, const HoldResult& h,
                 const ChurnResult& c, const TeardownResult& t) {
-  const auto cores =
-      static_cast<std::uint64_t>(std::thread::hardware_concurrency());
   jade::bench::JsonReport report("bench_server_churn");
   report.add_row()
       .str("phase", "concurrency_hold")
-      .count("hardware_cores", cores)
       .count("sessions", h.sessions)
       .count("peak_active", static_cast<std::uint64_t>(h.peak_active))
       .count("peak_live", static_cast<std::uint64_t>(h.peak_live))
@@ -287,10 +329,11 @@ void write_json(const std::string& path, const HoldResult& h,
       .num("admissions_per_sec", h.sessions / h.admit_submit_seconds, 1)
       .num("drain_seconds", h.drain_seconds, 4)
       .num("latency_p50_s", h.p50, 4)
-      .num("latency_p99_s", h.p99, 4);
+      .num("latency_p99_s", h.p99, 4)
+      .count("peak_threads", h.peak_threads)
+      .stamp_host();
   report.add_row()
       .str("phase", "churn")
-      .count("hardware_cores", cores)
       .count("sessions", c.sessions)
       .count("tasks_per_session", c.tasks_per_session)
       .count("max_active", static_cast<std::uint64_t>(c.max_active))
@@ -298,15 +341,18 @@ void write_json(const std::string& path, const HoldResult& h,
       .num("submissions_per_sec", c.submissions_per_sec, 1)
       .num("tasks_per_sec", c.tasks_per_sec, 1)
       .num("latency_p50_s", c.p50, 5)
-      .num("latency_p99_s", c.p99, 5);
+      .num("latency_p99_s", c.p99, 5)
+      .count("peak_threads", c.peak_threads)
+      .stamp_host();
   report.add_row()
       .str("phase", "teardown_under_load")
-      .count("hardware_cores", cores)
       .count("sessions", t.sessions)
       .count("cancelled", t.cancelled)
       .count("completed", t.completed)
       .count("followup_sessions", t.followup_sessions)
-      .num("followup_wall_seconds", t.followup_wall_seconds, 4);
+      .num("followup_wall_seconds", t.followup_wall_seconds, 4)
+      .count("peak_threads", t.peak_threads)
+      .stamp_host();
   report.write(path);
 }
 
@@ -335,6 +381,7 @@ int main(int argc, char** argv) {
               format_double(h.sessions / h.admit_submit_seconds, 0)});
   ht.add_row({"drain s", format_double(h.drain_seconds, 4)});
   ht.add_row({"latency p99 s", format_double(h.p99, 4)});
+  ht.add_row({"peak threads", std::to_string(h.peak_threads)});
   ht.print(std::cout);
 
   const ChurnResult c = run_churn(sessions, 8);
@@ -346,6 +393,7 @@ int main(int argc, char** argv) {
   ct.add_row({"tasks/sec", format_double(c.tasks_per_sec, 0)});
   ct.add_row({"latency p50 s", format_double(c.p50, 5)});
   ct.add_row({"latency p99 s", format_double(c.p99, 5)});
+  ct.add_row({"peak threads", std::to_string(c.peak_threads)});
   ct.print(std::cout);
 
   const TeardownResult t = run_teardown(400);

@@ -19,17 +19,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_format.hpp"
 #include "jade/apps/cholesky.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/support/stats.hpp"
-
-#ifndef JADE_BUILD_TYPE
-#define JADE_BUILD_TYPE "unknown"
-#endif
 
 namespace {
 
@@ -39,16 +34,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string compiler() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
 }
 
 /// `tasks` independent near-empty tasks spread over `objects` shared
@@ -124,8 +109,6 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<int> worker_sweep = {1, 2, 4, 8};
-  const auto cores =
-      static_cast<std::uint64_t>(std::thread::hardware_concurrency());
   bench::JsonReport report("bench_thread_scaling");
   const auto add_row = [&](const char* workload, int workers,
                            std::uint64_t ntasks, double secs) {
@@ -136,9 +119,7 @@ int main(int argc, char** argv) {
         .num("seconds", secs, 6)
         .num("tasks_per_s", static_cast<double>(ntasks) / secs, 1)
         .count("reps", reps)
-        .count("hardware_cores", cores)
-        .str("build_type", JADE_BUILD_TYPE)
-        .str("compiler", compiler());
+        .stamp_host();
   };
 
   std::cout << "=== ThreadEngine scaling (wall clock, best of " << reps

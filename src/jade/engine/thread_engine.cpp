@@ -13,6 +13,10 @@ namespace {
 /// Thrown inside a blocked task to unwind it when another task has already
 /// failed; never escapes the engine.
 struct EngineAborting : EngineUnwind {};
+
+bool cancelled(const TenantCtl* ctl) {
+  return ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed);
+}
 }  // namespace
 
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
@@ -40,9 +44,6 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
       serializer_(this, enforce_hierarchy),
       spec_(spec, serializer_, *this, tracer_) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
-  // Pre-sized so publishing a slot is a single release store of slot_count_
-  // (stealers scan the prefix without locking).
-  slots_.resize(kMaxSlots);
   // Ownership oracle for tenant isolation: called from prepare_task, on the
   // creating thread and without mu_.
   serializer_.set_tenant_oracle(
@@ -52,30 +53,11 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
 ThreadEngine::~ThreadEngine() {
   stop_.store(true, std::memory_order_seq_cst);
   unpark_all();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state_cv_.notify_all();
-  }
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
 }
 
-void ThreadEngine::notify_external() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cv_waiters_ > 0) state_cv_.notify_all();
-}
-
-// --- slots and parking -----------------------------------------------------
-
-ThreadEngine::ThreadSlot* ThreadEngine::add_slot(MachineId machine) {
-  const int idx = slot_count_.load(std::memory_order_relaxed);
-  JADE_ASSERT_MSG(idx < kMaxSlots, "runaway compensating-worker growth");
-  slots_[static_cast<std::size_t>(idx)] =
-      std::make_unique<ThreadSlot>(idx, machine);
-  ThreadSlot* slot = slots_[static_cast<std::size_t>(idx)].get();
-  slot_count_.store(idx + 1, std::memory_order_release);
-  return slot;
-}
+// --- parking idle threads --------------------------------------------------
 
 void ThreadEngine::wake_one() {
   // seq_cst pairs with the idle thread's (register, then re-check
@@ -114,23 +96,6 @@ bool ThreadEngine::idle_cancel(ThreadSlot* slot) {
   return true;
 }
 
-void ThreadEngine::maybe_notify_all_asleep_locked() {
-  if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
-      sleeping_threads_.load(std::memory_order_seq_cst) >=
-          total_threads_.load(std::memory_order_seq_cst) &&
-      ready_count_.load(std::memory_order_seq_cst) == 0)
-    state_cv_.notify_all();
-}
-
-void ThreadEngine::notify_if_all_asleep() {
-  if (sleeping_threads_.load(std::memory_order_seq_cst) >=
-          total_threads_.load(std::memory_order_seq_cst) &&
-      ready_count_.load(std::memory_order_seq_cst) == 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    maybe_notify_all_asleep_locked();
-  }
-}
-
 void ThreadEngine::idle_park(ThreadSlot* slot, bool drain) {
   // Register first, re-check after: a producer either finds us on the idle
   // stack (and unparks us) or published its work before our re-check.
@@ -139,23 +104,36 @@ void ThreadEngine::idle_park(ThreadSlot* slot, bool drain) {
     idle_stack_.push_back(slot);
     idle_count_.fetch_add(1, std::memory_order_seq_cst);
   }
-  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
   bool wake_now = stop_.load(std::memory_order_seq_cst) ||
                   ready_count_.load(std::memory_order_seq_cst) > 0 ||
+                  slot->runnable_count.load(std::memory_order_seq_cst) > 0 ||
                   (spec_.enabled() &&
                    spec_epoch_.load(std::memory_order_seq_cst) !=
                        slot->spec_seen_epoch) ||
                   (drain && drain_exit_.load(std::memory_order_seq_cst));
-  if (wake_now && idle_cancel(slot)) {
-    sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-    return;
-  }
+  if (wake_now && idle_cancel(slot)) return;
   // Either nothing to do, or a producer already claimed us and an unpark is
   // in flight — park consumes it and we rescan immediately.
-  if (!wake_now) notify_if_all_asleep();
+  if (!wake_now) wake_throttled_if_all_idle();
   ++slot->parks;
   slot->parker.park();
-  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+bool ThreadEngine::all_idle_but(int self) const {
+  const int idle = idle_count_.load(std::memory_order_seq_cst) + self;
+  return idle >= engine_threads_.load(std::memory_order_seq_cst) &&
+         ready_count_.load(std::memory_order_seq_cst) == 0;
+}
+
+void ThreadEngine::wake_throttled_if_all_idle() {
+  // The caller registered idle before this check, and a creator registers
+  // in throttle_waiters_ before its own give-up check (both seq_cst), so
+  // one of the two sees the other.
+  if (throttle_waiters_.load(std::memory_order_seq_cst) == 0 ||
+      !all_idle_but(0))
+    return;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [tenant, w] : throttled_) wake_locked(w->creator);
 }
 
 // --- dispatch --------------------------------------------------------------
@@ -187,7 +165,7 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
 
 void ThreadEngine::on_task_unblocked(TaskNode* task) {
   unblocked_.insert(task);
-  if (cv_waiters_ > 0) state_cv_.notify_all();
+  wake_locked(task);
 }
 
 TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
@@ -195,7 +173,7 @@ TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
     ready_count_.fetch_sub(1, std::memory_order_seq_cst);
     return *task;
   }
-  const int n = slot_count_.load(std::memory_order_acquire);
+  const int n = static_cast<int>(slots_.size());
   // Two sweeps: ready_count_ > 0 after a failed sweep means an enqueue or a
   // hand-off is in flight; one yield-and-retry usually catches it.  Still
   // nothing → caller parks (its registered re-check closes the race).
@@ -220,60 +198,110 @@ TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
 }
 
 bool ThreadEngine::spin_for_work(ThreadSlot* slot) {
-  (void)slot;
   constexpr int kIdleSpins = 32;
   for (int i = 0; i < kIdleSpins; ++i) {
     if (stop_.load(std::memory_order_acquire) ||
-        ready_count_.load(std::memory_order_seq_cst) > 0)
+        ready_count_.load(std::memory_order_seq_cst) > 0 ||
+        slot->runnable_count.load(std::memory_order_seq_cst) > 0)
       return true;
     std::this_thread::yield();
   }
   return false;
 }
 
+// --- threads and fibers ----------------------------------------------------
+
+bool ThreadEngine::slot_done(const ThreadSlot* slot) const {
+  return slot->index == 0 ? drain_exit_.load() : stop_.load();
+}
+
+void ThreadEngine::run_fibers(ThreadSlot* slot, std::unique_ptr<Fiber> first) {
+  std::unique_ptr<Fiber> next = std::move(first);
+  for (;;) {
+    if (next == nullptr) next = take_runnable(slot);
+    if (next == nullptr) {
+      const bool done = slot_done(slot);
+      const bool in_root_body = slot->index == 0 && !root_returned_;
+      if (in_root_body || (done && slot->waiting_fibers > 0)) {
+        wait_runnable(slot);
+        continue;
+      }
+      if (done) return;
+      // A task that parked left a spare (reserve_spare_fiber); otherwise
+      // this is the thread's first loop, or it reuses the fiber whose loop
+      // ended to let a woken one resume.
+      next = std::move(slot->spare);
+      if (next == nullptr)
+        next = slot->fibers.acquire(&ThreadEngine::loop_entry, slot);
+    }
+    Fiber* fiber = next.get();
+    slot->current = std::move(next);
+    fiber->resume();
+    // Still ours: the fiber's entry returned.  Moved out: its task parked.
+    if (slot->current != nullptr)
+      slot->fibers.release(std::move(slot->current));
+  }
+}
+
+void ThreadEngine::loop_entry(void* slot) {
+  auto* s = static_cast<ThreadSlot*>(slot);
+  s->engine->worker_loop(s);
+}
+
 void ThreadEngine::worker_loop(ThreadSlot* slot) {
-  TlsBinding bind(this, slot);
-  while (!stop_.load(std::memory_order_acquire)) {
+  const bool drain = slot->index == 0;
+  for (;;) {
+    if (slot_done(slot)) return;
+    // A woken fiber finishes its task here, then continues in its own loop
+    // frames; this fiber's stack is empty, so it ends.
+    if (slot->runnable_count.load(std::memory_order_acquire) > 0) return;
     if (TaskNode* task = find_task(slot)) {
       execute(task, slot);
       continue;
     }
     // No ready work: run ahead speculatively rather than going idle.
     if (try_speculate(slot)) continue;
-    if (spin_for_work(slot)) continue;
-    idle_park(slot, /*drain=*/false);
+    if (!drain && spin_for_work(slot)) continue;
+    idle_park(slot, drain);
   }
 }
 
-void ThreadEngine::ensure_spare_worker() {
-  if (idle_count_.load(std::memory_order_seq_cst) > 0 ||
-      stop_.load(std::memory_order_relaxed))
-    return;
-  // A compensating worker stands in for the worker slot it replaces; its
-  // reported machine id stays within [0, machine_count()).
-  const MachineId machine =
-      static_cast<MachineId>(workers_.size()) % workers_requested_;
-  ThreadSlot* slot = add_slot(machine);
-  ++stats_.compensating_workers;
-  total_threads_.fetch_add(1, std::memory_order_seq_cst);
-  workers_.emplace_back([this, slot] { worker_loop(slot); });
+void ThreadEngine::root_entry(void* engine) {
+  auto* self = static_cast<ThreadEngine*>(engine);
+  TaskNode* root = self->serializer_.root();
+  bool root_failed = false;
+  try {
+    TaskContext ctx(self, root);
+    (*self->root_body_)(ctx);
+  } catch (const EngineAborting&) {
+    root_failed = true;
+  } catch (...) {
+    self->record_error(std::current_exception());
+    root_failed = true;
+  }
+  // The caller's thread now drains the pool as one more worker.
+  self->root_returned_ = true;
+  self->engine_threads_.fetch_add(1, std::memory_order_seq_cst);
+  std::lock_guard<std::mutex> lock(self->mu_);
+  // The root never passes through execute(): return any commute tokens its
+  // body took, or commuting tasks would wait on them forever.
+  self->release_commute_tokens_locked(root);
+  if (!root_failed) {
+    self->serializer_.complete_task(root);
+    self->drain_spec_decides_locked(tls_slot_);
+    self->note_drained_locked();
+  }
 }
 
 void ThreadEngine::record_error(std::exception_ptr err) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!first_error_) first_error_ = err;
-    if (cv_waiters_ > 0) state_cv_.notify_all();
+    // Every parked task unwinds (EngineAborting) before the threads exit.
+    while (!parked_.empty()) wake_locked(parked_.begin()->first);
   }
   drain_exit_.store(true, std::memory_order_seq_cst);
   unpark_all();  // the drain thread re-checks drain_exit_ before parking
-}
-
-void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
-  // Copy: release() mutates the held list.  No waiter hand-off — sleepers
-  // race for freed tokens under state_cv_, so next_holder is always null.
-  const std::vector<ObjectId> held = commute_.held(task);
-  for (ObjectId obj : held) commute_.release(obj, task);
 }
 
 bool ThreadEngine::note_drained_locked() {
@@ -307,88 +335,69 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       spec_.reset();
       first_error_ = nullptr;
       stats_ = RuntimeStats{};
-      const int nslots = slot_count_.load(std::memory_order_relaxed);
-      for (int i = 0; i < nslots; ++i)
-        slots_[static_cast<std::size_t>(i)].reset();
-      slot_count_.store(0, std::memory_order_relaxed);
       ready_count_.store(0, std::memory_order_seq_cst);
       {
         std::lock_guard<std::mutex> idle(idle_mu_);
         idle_stack_.clear();
         idle_count_.store(0, std::memory_order_seq_cst);
       }
-      sleeping_threads_.store(0, std::memory_order_seq_cst);
+      root_returned_ = false;
       stop_.store(false, std::memory_order_seq_cst);
       drain_exit_.store(false, std::memory_order_seq_cst);
     }
     ran_ = true;
   }
-  ThreadSlot* root_slot = add_slot(0);
-  total_threads_.store(workers_requested_ + 1, std::memory_order_seq_cst);
-  workers_.reserve(static_cast<std::size_t>(workers_requested_));
-  for (int i = 0; i < workers_requested_; ++i) {
-    ThreadSlot* slot = add_slot(i);
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
-  }
+  // Every slot exists before any thread starts; after this no thread is
+  // created until the next run().  Each worker maps its first fiber itself.
+  slots_.clear();
+  for (int i = 0; i <= workers_requested_; ++i)
+    slots_.push_back(std::make_unique<ThreadSlot>(this, i, i == 0 ? 0 : i - 1));
+  ThreadSlot* root_slot = slots_.front().get();
+  std::unique_ptr<Fiber> root_fiber =
+      root_slot->fibers.acquire(&ThreadEngine::root_entry, this);
+  root_body_ = &root_body;
+  engine_threads_.store(workers_requested_, std::memory_order_seq_cst);
   serializer_.root()->assigned_machine = 0;
+  workers_.reserve(static_cast<std::size_t>(workers_requested_));
+  for (int i = 1; i <= workers_requested_; ++i) {
+    ThreadSlot* slot = slots_[static_cast<std::size_t>(i)].get();
+    workers_.emplace_back([this, slot] {
+      TlsBinding bind(this, slot);
+      try {
+        run_fibers(slot, nullptr);
+      } catch (...) {
+        record_error(std::current_exception());
+      }
+    });
+  }
 
   // The caller's thread is the original task (Figure 7(a)); afterwards it
   // drains the pool as one more stealing worker.
-  bool root_failed = false;
   {
     TlsBinding bind(this, root_slot);
     try {
-      TaskContext ctx(this, serializer_.root());
-      root_body(ctx);
-    } catch (const EngineAborting&) {
-      root_failed = true;
+      run_fibers(root_slot, std::move(root_fiber));
     } catch (...) {
-      record_error(std::current_exception());
-      root_failed = true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // The root never passes through execute(): return any commute tokens
-      // its body took, or commuting tasks would wait on them forever.
-      release_commute_tokens_locked(serializer_.root());
-      if (!root_failed) {
-        serializer_.complete_task(serializer_.root());
-        drain_spec_decides_locked(root_slot);
-        note_drained_locked();
-      }
-      if (cv_waiters_ > 0) state_cv_.notify_all();
-    }
-    while (!drain_exit_.load(std::memory_order_seq_cst)) {
-      if (TaskNode* task = find_task(root_slot)) {
-        execute(task, root_slot);
-        continue;
-      }
-      if (try_speculate(root_slot)) continue;
-      idle_park(root_slot, /*drain=*/true);
+      record_error(std::current_exception());  // the pool still joins
     }
   }
+  root_body_ = nullptr;
   stop_.store(true, std::memory_order_seq_cst);
   unpark_all();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cv_waiters_ > 0) state_cv_.notify_all();
-  }
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
   workers_.clear();
 
   // Fold the per-thread stat cells now that every owner thread is joined.
-  // Compensating workers aggregate into the machine slot they stood in for.
-  const int nslots = slot_count_.load(std::memory_order_acquire);
   std::vector<std::uint64_t> executed(
       static_cast<std::size_t>(workers_requested_), 0);
   std::vector<std::uint64_t> stolen(executed.size(), 0);
   std::vector<std::size_t> depth(executed.size(), 0);
-  for (int i = 0; i < nslots; ++i) {
-    ThreadSlot* s = slots_[static_cast<std::size_t>(i)].get();
+  for (const auto& s : slots_) {
     stats_.total_charged_work += s->charged;
     stats_.tasks_stolen += s->stolen;
     stats_.worker_parks += s->parks;
+    stats_.fiber_parks += s->fiber_parks;
     const auto m = static_cast<std::size_t>(s->machine);
     executed[m] += s->executed;
     stolen[m] += s->stolen;
@@ -410,28 +419,26 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
 void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   // Claiming the task (pop or steal) made this thread its only starter.
   serializer_.task_started(task);
-  // Starting a task shrinks the backlog; suspended creators watch it.  A
-  // creator registers in throttle_waiters_ before it re-checks the backlog,
+  // Starting a task shrinks the backlog; creators suspended on it watch it.
+  // A creator registers in backlog_waiters_ before it re-checks the backlog,
   // and this thread looks for one after its decrement (all seq_cst): either
   // the creator's re-check sees this start, or this thread sees the creator
-  // and notifies under mu_, which the creator holds from re-check to wait.
-  if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
+  // and wakes it under mu_, which the creator holds from re-check to park.
+  if (backlog_waiters_.load(std::memory_order_seq_cst) > 0 &&
       throttle_.backlog_drained(serializer_.backlog())) {
     std::lock_guard<std::mutex> lock(mu_);
-    state_cv_.notify_all();
+    wake_cleared_creators_locked(nullptr);
   }
   task->assigned_machine = slot->machine;
   if (tracer_.enabled()) {
     // Work stealing has no directory to score: the "placement" is which
     // worker claimed the task.  The planner still produces the structured
-    // explanation — candidates are the live worker slots with their queue
+    // explanation — candidates are the worker slots with their queue
     // depths — so every engine's sched.place event has one shape.
-    const int live = slot_count_.load(std::memory_order_acquire);
-    std::vector<int> depths(static_cast<std::size_t>(live), 0);
-    for (int s = 0; s < live; ++s)
-      depths[static_cast<std::size_t>(s)] =
-          static_cast<int>(slots_[static_cast<std::size_t>(s)]
-                               ->deque.size_estimate());
+    std::vector<int> depths;
+    depths.reserve(slots_.size());
+    for (const auto& s : slots_)
+      depths.push_back(static_cast<int>(s->deque.size_estimate()));
     PlacementExplain explain;
     planner_->explain_claim(depths, slot->machine, &explain);
     tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
@@ -468,10 +475,10 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
       slot->local_grants = 0;
       drain_spec_decides_locked(slot);
       drained = note_drained_locked();
+      // One live task fewer: its tenant's gated creators may resume.
+      if (!throttled_.empty() && task->tenant() != nullptr)
+        wake_cleared_creators_locked(task->tenant());
     }
-    // Blocked tasks (commute token, dependency waits) re-check their
-    // predicates; skipped entirely when nothing is blocked.
-    if (cv_waiters_ > 0) state_cv_.notify_all();
   }
   if (drained) unpark_all();  // the drain thread may be parked
   if (failed) return;         // leave incomplete; run() aborts on first_error_
@@ -480,6 +487,141 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
                    task->charged_work);
   JADE_TRACE("exec-done " << task->name()
              << " backlog=" << slot->deque.size_estimate());
+}
+
+// --- waits -----------------------------------------------------------------
+
+void ThreadEngine::reserve_spare_fiber() {
+  ThreadSlot* slot = tls_slot_;
+  // A parked root body leaves its thread waiting, so it needs no spare.
+  const bool in_root_body = slot->index == 0 && !root_returned_;
+  if (slot->spare == nullptr && !in_root_body)
+    slot->spare = slot->fibers.acquire(&ThreadEngine::loop_entry, slot);
+}
+
+void ThreadEngine::park_locked(TaskNode* task,
+                               std::unique_lock<std::mutex>& lock,
+                               bool commute) {
+  // Register, unlock, suspend.  A wake that lands between the unlock and
+  // the suspend is harmless: only this thread resumes the fiber, and it
+  // can do so only once the fiber has suspended.
+  ThreadSlot* slot = tls_slot_;
+  Fiber* self = slot->current.get();
+  Parked& entry = parked_[task];  // allocates before the fiber moves in
+  entry = Parked{slot, std::move(slot->current), commute};
+  if (commute) ++commute_waiters_;
+  ++slot->waiting_fibers;
+  ++slot->fiber_parks;
+  JADE_TRACE("park " << task->name());
+  lock.unlock();
+  self->suspend();
+  lock.lock();
+  JADE_TRACE("resume " << task->name());
+}
+
+void ThreadEngine::wake_locked(TaskNode* task) {
+  auto it = parked_.find(task);
+  if (it == parked_.end()) return;
+  ThreadSlot* owner = it->second.owner;
+  if (it->second.commute) --commute_waiters_;
+  owner->runnable.push_back(std::move(it->second.fiber));
+  parked_.erase(it);
+  // Same register-then-recheck pairing as wake_one: the owner re-checks
+  // runnable_count after registering idle (idle_park, spin_for_work) or
+  // after raising awaits_fiber (wait_runnable).
+  owner->runnable_count.fetch_add(1, std::memory_order_seq_cst);
+  const bool was_idle =
+      idle_count_.load(std::memory_order_seq_cst) > 0 && idle_cancel(owner);
+  if (was_idle || owner->awaits_fiber.load(std::memory_order_seq_cst))
+    owner->parker.unpark();
+}
+
+std::unique_ptr<Fiber> ThreadEngine::take_runnable(ThreadSlot* slot) {
+  if (slot->runnable_count.load(std::memory_order_acquire) == 0)
+    return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<Fiber> fiber = std::move(slot->runnable.front());
+  slot->runnable.pop_front();
+  slot->runnable_count.fetch_sub(1, std::memory_order_relaxed);
+  --slot->waiting_fibers;
+  return fiber;
+}
+
+void ThreadEngine::wait_runnable(ThreadSlot* slot) {
+  slot->awaits_fiber.store(true, std::memory_order_seq_cst);
+  while (slot->runnable_count.load(std::memory_order_seq_cst) == 0)
+    slot->parker.park();
+  slot->awaits_fiber.store(false, std::memory_order_relaxed);
+}
+
+void ThreadEngine::wait_unblocked(TaskNode* task,
+                                  std::unique_lock<std::mutex>& lock) {
+  // Every wait edge points to a record strictly ahead in some queue, so the
+  // waits-for graph is acyclic and the unblock always arrives (or the run
+  // aborts on first_error_).
+  while (unblocked_.erase(task) == 0) {
+    if (first_error_) throw EngineAborting{};
+    park_locked(task, lock);
+  }
+}
+
+void ThreadEngine::wait_commute_token(TaskNode* task, ObjectId obj,
+                                      std::unique_lock<std::mutex>& lock) {
+  // Commuters run in any order but touch the object exclusively.  Note: a
+  // task holding a commute accessor must not block on a deferred
+  // conversion, or holder and waiter could form a cycle the serial order
+  // does not rank (see DESIGN.md).
+  TenantCtl* ctl = task->tenant();
+  if (cancelled(ctl)) throw TenantUnwind{};
+  if (commute_.try_acquire(obj, task)) return;
+  if (first_error_) throw EngineAborting{};
+  commute_.enqueue_waiter(obj, task);
+  // The holder's release hands the token over and wakes this task; a
+  // cancellation (notify_external) or the first error wakes it too.
+  while (commute_.holder(obj) != task && !first_error_ && !cancelled(ctl))
+    park_locked(task, lock, /*commute=*/true);
+  if (commute_.holder(obj) != task) commute_.remove_waiter(task);
+  // A task that unwinds holding the token returns it at completion.
+  if (first_error_) throw EngineAborting{};
+  if (cancelled(ctl)) throw TenantUnwind{};
+}
+
+void ThreadEngine::release_commute_token_locked(ObjectId obj, TaskNode* task) {
+  TaskNode* next = nullptr;
+  if (commute_.release(obj, task, &next) && next != nullptr) wake_locked(next);
+}
+
+void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
+  // Copy: release() mutates the held list.
+  const std::vector<ObjectId> held = commute_.held(task);
+  for (ObjectId obj : held) release_commute_token_locked(obj, task);
+}
+
+bool ThreadEngine::throttle_clear(const ThrottleWait& w) const {
+  if (cancelled(w.tenant)) return true;  // the creator unwinds instead
+  const bool global_clear =
+      !w.global || throttle_.backlog_drained(serializer_.backlog());
+  const bool tenant_clear = !w.gated || throttle_.tenant_drained(*w.tenant);
+  return global_clear && tenant_clear;
+}
+
+void ThreadEngine::wake_cleared_creators_locked(const TenantCtl* tenant) {
+  auto range = throttled_.equal_range(tenant);
+  if (tenant == nullptr || backlog_waiters_.load() > 0)
+    range = {throttled_.begin(), throttled_.end()};
+  for (auto it = range.first; it != range.second; ++it)
+    if (throttle_clear(*it->second)) wake_locked(it->second->creator);
+}
+
+void ThreadEngine::notify_external() {
+  std::lock_guard<std::mutex> lock(mu_);
+  wake_cleared_creators_locked(nullptr);
+  if (commute_waiters_ == 0) return;
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    const auto cur = it++;  // wake_locked erases cur
+    if (cur->second.commute && cancelled(cur->first->tenant()))
+      wake_locked(cur->first);
+  }
 }
 
 // --- TaskContext backend ---------------------------------------------------
@@ -494,8 +636,9 @@ void ThreadEngine::spawn(TaskNode* parent,
   // program root for tenant T is a host task and is never gated or unwound —
   // a blocked dispatcher would stall every other tenant.
   TenantCtl* pctl = parent->tenant();
-  if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed))
-    throw TenantUnwind{};
+  if (cancelled(pctl)) throw TenantUnwind{};
+  // Only the throttle or a tenant quota can park a creator.
+  if (throttle_.enabled() || pctl != nullptr) reserve_spare_fiber();
   // Build and check the task before taking the lock; only linking it into
   // the declaration queues needs mu_.
   std::unique_ptr<TaskNode> prepared = serializer_.prepare_task(
@@ -510,11 +653,10 @@ void ThreadEngine::spawn(TaskNode* parent,
     spec_epoch_.fetch_add(1, std::memory_order_seq_cst);
     wake_one();
   }
-  const bool global_needed =
-      throttle_.should_throttle(serializer_.backlog());
-  const bool tenant_needed =
-      pctl != nullptr && throttle_.tenant_gated(*pctl);
-  const bool wait_needed = global_needed || tenant_needed;
+  const bool global = throttle_.should_throttle(serializer_.backlog());
+  const bool gated = pctl != nullptr && throttle_.tenant_gated(*pctl);
+  ThrottleWait wait{parent, pctl, global, gated};
+  const bool wait_needed = global || gated;
   if (!wait_needed) lock.unlock();
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
@@ -522,8 +664,8 @@ void ThreadEngine::spawn(TaskNode* parent,
   if (!wait_needed) return;
 
   // Too much exploited concurrency — globally (Section 3.3) or against this
-  // tenant's quota window: suspend the creator until the pressure drains.
-  // If every other thread ends up asleep with nothing ready, the backlog
+  // tenant's quota window: park the creator until the pressure drains.  If
+  // every other engine thread ends up idle with nothing ready, the backlog
   // can only drain through the creators themselves — give up throttling
   // rather than deadlock.
   throttle_.note_suspension();
@@ -532,52 +674,39 @@ void ThreadEngine::spawn(TaskNode* parent,
                   static_cast<double>(serializer_.backlog()));
   JADE_TRACE("throttle-enter " << parent->name()
              << " backlog=" << serializer_.backlog());
-  const auto clear = [&] {
-    const bool global_clear =
-        !global_needed || throttle_.backlog_drained(serializer_.backlog());
-    const bool tenant_clear =
-        !tenant_needed ||
-        pctl->cancelled.load(std::memory_order_relaxed) ||
-        throttle_.tenant_drained(*pctl);
-    return global_clear && tenant_clear;
-  };
-  while (!clear()) {
-    if (first_error_) throw EngineAborting{};
-    if (sleeping_threads_.load(std::memory_order_seq_cst) + 1 >=
-            total_threads_.load(std::memory_order_seq_cst) &&
-        ready_count_.load(std::memory_order_seq_cst) == 0) {
-      // Every other thread is asleep with nothing ready: only this creator
-      // can make progress, so it must keep creating.
-      throttle_.note_giveup();
-      tracer_.instant(obs::Subsystem::kEngine, "throttle.giveup",
-                      parent->id(), machine_of(parent),
-                      static_cast<double>(serializer_.backlog()));
-      JADE_TRACE("throttle-giveup " << parent->name());
-      return;
-    }
-    ensure_spare_worker();
-    ++cv_waiters_;
-    // Registered before the wait's first predicate check (see execute).
-    throttle_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-    maybe_notify_all_asleep_locked();
-    state_cv_.wait(lock, [&] {
-      return clear() || first_error_ != nullptr ||
-             (sleeping_threads_.load(std::memory_order_seq_cst) >=
-                  total_threads_.load(std::memory_order_seq_cst) &&
-              ready_count_.load(std::memory_order_seq_cst) == 0);
-    });
-    sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-    --cv_waiters_;
-    throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  // Registered before the first check (see execute and
+  // wake_throttled_if_all_idle for the pairing).
+  const auto registration = throttled_.emplace(pctl, &wait);
+  throttle_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  if (wait.global) backlog_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  // The root body's thread runs no other work, so it is not one of the
+  // engine threads the give-up counts.
+  const int self = parent == serializer_.root() ? 0 : 1;
+  bool give_up = false;
+  while (!give_up && !first_error_ && !throttle_clear(wait)) {
+    // Every other engine thread idle with nothing ready: only this creator
+    // can make progress, so it must keep creating.
+    give_up = all_idle_but(self);
+    if (!give_up) park_locked(parent, lock);
+  }
+  throttled_.erase(registration);
+  throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  if (wait.global) backlog_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  if (first_error_) throw EngineAborting{};
+  if (give_up) {
+    throttle_.note_giveup();
+    tracer_.instant(obs::Subsystem::kEngine, "throttle.giveup", parent->id(),
+                    machine_of(parent),
+                    static_cast<double>(serializer_.backlog()));
+    JADE_TRACE("throttle-giveup " << parent->name());
+    return;
   }
   tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
                   machine_of(parent),
                   static_cast<double>(serializer_.backlog()));
-  // The tenant may have been torn down while its creator slept; unwind at
+  // The tenant may have been torn down while its creator waited; unwind at
   // this edge rather than running the rest of the body.
-  if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed))
-    throw TenantUnwind{};
+  if (cancelled(pctl)) throw TenantUnwind{};
 }
 
 void ThreadEngine::with_cont(TaskNode* task,
@@ -585,19 +714,18 @@ void ThreadEngine::with_cont(TaskNode* task,
   // Changing a declaration mid-speculation would fork the serial order the
   // snapshot was captured against; abort and re-run normally.
   if (task->speculating()) throw SpeculationUnwind{};
+  reserve_spare_fiber();
   std::unique_lock<std::mutex> lock(mu_);
   const bool must_block = serializer_.update_spec(task, requests);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
   for (const AccessRequest& req : requests) {
     if (!(req.remove & access::kCommute)) continue;
-    commute_.release(req.obj, task);  // no-op when task is not the holder
+    release_commute_token_locked(req.obj, task);  // no-op unless the holder
   }
   // Weakened rights may have enabled a speculating successor.
   drain_spec_decides_locked(tls_slot_);
   if (must_block) wait_unblocked(task, lock);
-  // A returned commute token (or retired rights) may unblock waiters.
-  if (cv_waiters_ > 0) state_cv_.notify_all();
 }
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
@@ -611,61 +739,15 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   // check counts every exercised write.
   if (!spec_.enabled() && serializer_.granted(task, obj, mode))
     return buffers_.data(obj);
+  reserve_spare_fiber();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    const bool must_block = serializer_.acquire(task, obj, mode);
-    if (must_block) wait_unblocked(task, lock);
-    if (mode & access::kCommute) {
-      // Commuters run in any order but touch the object exclusively; sleep
-      // until the holder completes (or retires via no_cm).  Note: a task
-      // holding a commute accessor must not block on a deferred conversion,
-      // or holder and waiter could form a cycle the serial order does not
-      // rank (see DESIGN.md).
-      TenantCtl* ctl = task->tenant();
-      for (;;) {
-        if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed))
-          throw TenantUnwind{};
-        if (commute_.try_acquire(obj, task)) break;
-        if (first_error_) throw EngineAborting{};
-        ensure_spare_worker();
-        ++cv_waiters_;
-        sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-        maybe_notify_all_asleep_locked();
-        state_cv_.wait(lock, [&] {
-          TaskNode* h = commute_.holder(obj);
-          return h == nullptr || h == task || first_error_ != nullptr ||
-                 (ctl != nullptr &&
-                  ctl->cancelled.load(std::memory_order_relaxed));
-        });
-        sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-        --cv_waiters_;
-      }
-    }
+    if (serializer_.acquire(task, obj, mode)) wait_unblocked(task, lock);
+    if (mode & access::kCommute) wait_commute_token(task, obj, lock);
   }
   // Global→local translation is pure buffer-table work: by the time the
   // serial order admits the access, the pointer is immutable.
   return buffers_.data(obj);
-}
-
-void ThreadEngine::wait_unblocked(TaskNode* task,
-                                  std::unique_lock<std::mutex>& lock) {
-  // Sleep until the serializer delivers the unblock.  A compensating
-  // worker keeps ready tasks flowing; every wait edge points to a record
-  // strictly ahead in some queue, so the waits-for graph is acyclic and
-  // the unblock always arrives (or the run aborts on first_error_).
-  JADE_TRACE("unblk-enter " << task->name());
-  ensure_spare_worker();
-  ++cv_waiters_;
-  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-  maybe_notify_all_asleep_locked();
-  state_cv_.wait(lock, [this, task] {
-    return unblocked_.contains(task) || first_error_ != nullptr;
-  });
-  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-  --cv_waiters_;
-  if (!unblocked_.contains(task)) throw EngineAborting{};
-  unblocked_.erase(task);
-  JADE_TRACE("unblk-exit " << task->name());
 }
 
 // --- speculation (sched/speculation.hpp does the protocol) ------------------
@@ -701,7 +783,6 @@ bool ThreadEngine::try_speculate(ThreadSlot* slot) {
       decide_speculation_locked(task, slot);
       drain_spec_decides_locked(slot);
       drained = note_drained_locked();
-      if (cv_waiters_ > 0) state_cv_.notify_all();
     }
   }
   if (drained) unpark_all();  // the drain thread may be parked
@@ -720,11 +801,9 @@ void ThreadEngine::decide_speculation_locked(TaskNode* task,
     on_task_ready(task);  // enabled already: back to normal dispatch
   } else if (outcome == SpeculationExecutor::Outcome::kCommitted) {
     ++slot->executed;
-    // Starting+completing the task shrank the backlog; suspended creators
-    // watch it.
-    if (throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
-        throttle_.backlog_drained(serializer_.backlog()))
-      state_cv_.notify_all();
+    // Starting+completing the task shrank the backlog and its tenant's live
+    // count; suspended creators watch both.
+    if (!throttled_.empty()) wake_cleared_creators_locked(nullptr);
   }
 }
 

@@ -24,18 +24,28 @@
 //     executing thread, and the global total folds per-thread cells into
 //     RuntimeStats at the end of run().
 //
+//   * A task that must wait — on a deferred right, a commute token or the
+//     throttle — parks the fiber it runs on, not its thread
+//     (support/fiber.hpp).  Every worker's scheduling loop runs on a pooled
+//     fiber, so a task body runs on that fiber's stack and a task that
+//     never waits costs no switch.  The parked fiber is registered by its
+//     task's name in the wait; the worker continues on a fresh fiber, and
+//     whoever ends the wait hands the fiber back to its owner thread, which
+//     resumes it.  A run never has more than workers + 1 engine threads.
+//
 // Throttling (Section 3.3): when too many tasks are outstanding, the
 // creating task suspends until the backlog drains — with the paper's
-// deadlock escape (when every other thread is asleep with nothing ready,
-// the creator gives up throttling, since only it can make progress).
+// deadlock escape (when every other engine thread is idle with nothing
+// ready, the creator gives up throttling, since only it can make progress).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -45,6 +55,7 @@
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/sched/speculation.hpp"
+#include "jade/support/fiber.hpp"
 #include "jade/support/parker.hpp"
 #include "jade/support/work_steal_deque.hpp"
 
@@ -71,18 +82,16 @@ class ThreadEngine : public Engine,
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return workers_requested_; }
   /// The worker the task is (or was last) executing on; 0 for the root task
-  /// and for tasks not yet picked up.  Compensating workers report the id of
-  /// the worker slot they stand in for, keeping the result in
-  /// [0, machine_count()).
+  /// and for tasks not yet picked up.
   MachineId machine_of(TaskNode* task) const override {
     return task->assigned_machine >= 0 ? task->assigned_machine : 0;
   }
 
   void enable_tracing(const ObsConfig& cfg) override;
 
-  /// Wakes every state_cv_ waiter so it re-evaluates its predicate against
-  /// externally changed state (a tenant cancelled by the server while its
-  /// creators are parked on the throttle or a commute token).
+  /// Re-checks the waits that externally changed state can end: a creator
+  /// parked on its tenant's quota (the server widened the window or
+  /// cancelled the tenant) and a cancelled tenant's commute-token waiters.
   void notify_external() override;
 
  protected:
@@ -96,14 +105,16 @@ class ThreadEngine : public Engine,
 
  private:
   /// Everything one engine thread owns: its ready deque, its parking spot,
-  /// and stat cells only that thread writes (folded into RuntimeStats and
-  /// the metrics registry when run() ends).  Slot 0 is the root/drain
-  /// thread; 1..workers are the pool; later slots are compensating workers.
+  /// its fibers, and stat cells only that thread writes (folded into
+  /// RuntimeStats and the metrics registry when run() ends).  Slot 0 is the
+  /// root/drain thread; 1..workers are the pool.
   struct ThreadSlot {
-    ThreadSlot(int index, MachineId machine) : index(index), machine(machine) {}
+    ThreadSlot(ThreadEngine* engine, int index, MachineId machine)
+        : engine(engine), index(index), machine(machine) {}
 
-    const int index;          ///< dense per-thread index into slots_
-    const MachineId machine;  ///< reported machine id, in [0, machine_count)
+    ThreadEngine* const engine;  ///< for the fiber entry
+    const int index;             ///< dense per-thread index into slots_
+    const MachineId machine;     ///< reported machine id, in [0, machine_count)
     WorkStealDeque<TaskNode*> deque;
     Parker parker;
 
@@ -120,11 +131,33 @@ class ThreadEngine : public Engine,
     /// sleeps (same register-then-recheck protocol as ready_count_).
     std::uint64_t spec_seen_epoch = 0;
 
+    // --- fibers (see run_fibers) --------------------------------------------
+    // A parked fiber resumes only on this thread: tls_engine_, tls_slot_,
+    // tls_spec_ and the C++ exception globals are per thread, and compilers
+    // may cache a thread-local's address across a call.
+    FiberPool fibers;  ///< owner-only
+    /// The fiber running on this thread; a task that parks moves it into
+    /// parked_.  Owner-only.
+    std::unique_ptr<Fiber> current;
+    /// The fiber the loop continues on when a task parks, mapped before the
+    /// task takes mu_ (reserve_spare_fiber).  Owner-only.
+    std::unique_ptr<Fiber> spare;
+    /// Fibers of this thread that are parked or runnable.  Owner-only.
+    int waiting_fibers = 0;
+    /// Woken fibers, oldest first, pushed by whoever ended their wait.
+    /// Guarded by mu_; runnable_count mirrors its size for lock-free checks.
+    std::deque<std::unique_ptr<Fiber>> runnable;
+    std::atomic<int> runnable_count{0};
+    /// Set while the thread sleeps in wait_runnable (it is not on the idle
+    /// stack there), so a waker knows to unpark it.
+    std::atomic<bool> awaits_fiber{false};
+
     // Owner-thread-only cells (no sharing until the post-join fold).
     double charged = 0;
     std::uint64_t executed = 0;
     std::uint64_t stolen = 0;
     std::uint64_t parks = 0;
+    std::uint64_t fiber_parks = 0;
     std::size_t max_queue_depth = 0;
   };
 
@@ -141,9 +174,44 @@ class ThreadEngine : public Engine,
     ThreadSlot* prev_slot_;
   };
 
+  /// A parked task's fiber and the thread that must resume it.
+  struct Parked {
+    ThreadSlot* owner = nullptr;
+    std::unique_ptr<Fiber> fiber;
+    /// Waiting for a commute token, a wait a cancellation also ends.
+    bool commute = false;
+  };
+
+  /// A creator suspended on the global throttle and/or its tenant's quota,
+  /// registered in throttled_ from its first check until it leaves the
+  /// wait.  Lives on the creator's stack.
+  struct ThrottleWait {
+    TaskNode* creator;
+    TenantCtl* tenant;  ///< the creator's tenant (null for host tasks)
+    bool global;        ///< the backlog exceeded the high-water mark
+    bool gated;         ///< the tenant's live tasks exceeded its quota
+  };
+
   void on_task_ready(TaskNode* task) override;
   void on_task_unblocked(TaskNode* task) override;
 
+  // --- threads and fibers ----------------------------------------------------
+
+  /// The calling thread's scheduler, on its own stack: resumes `first` (the
+  /// root body) or a fresh loop fiber; when control comes back, that fiber
+  /// has parked (its task holds it) or ended (back to the pool).  It then
+  /// resumes a woken fiber if there is one, or starts a fresh loop fiber.
+  /// Returns when the slot is done and none of its fibers waits.
+  void run_fibers(ThreadSlot* slot, std::unique_ptr<Fiber> first);
+  /// The slot's loop has ended: the run is stopping (workers), or the graph
+  /// drained or failed (the root's thread).
+  bool slot_done(const ThreadSlot* slot) const;
+  /// Fiber entries: a scheduling loop, and the root body.
+  static void loop_entry(void* slot);
+  static void root_entry(void* engine);
+  /// The scheduling loop (workers, and the root's thread once its body has
+  /// returned).  Ends — freeing its fiber — when the slot is done, or when a
+  /// woken fiber of this thread should resume.
   void worker_loop(ThreadSlot* slot);
   /// Runs one claimed task to completion on `slot`'s thread.  Starts it
   /// without a lock and takes mu_ once, to complete it; the body runs with
@@ -163,38 +231,63 @@ class ThreadEngine : public Engine,
   /// first and re-checks for work (and, for the `drain` thread, drain_exit_)
   /// after registering, so a concurrent producer cannot be missed.
   void idle_park(ThreadSlot* slot, bool drain);
-  /// Removes `slot` from the idle set; false when a producer already
-  /// claimed it (an unpark is in flight and must be consumed).
+  /// Removes `slot` from the idle set; false when it was not there (busy,
+  /// or a producer already claimed it and an unpark is in flight).
   bool idle_cancel(ThreadSlot* slot);
   /// Unparks one idle thread, if any (the targeted-wake fast path).
   void wake_one();
   /// Unparks every idle thread (stop, first error, graph drained).
   void unpark_all();
-  /// Rare-edge notifier: when every engine thread is now asleep with
-  /// nothing ready, blocked-in-body threads (throttle waiters) must
-  /// re-evaluate their give-up predicate.
-  void notify_if_all_asleep();
-  /// Same check, for callers already holding mu_.
-  void maybe_notify_all_asleep_locked();
   /// Call under mu_ after a complete_task: sets drain_exit_ (and returns
   /// true) once the root has completed and nothing is outstanding.
   bool note_drained_locked();
 
+  // --- waits: a task parks its fiber, woken by name --------------------------
+
+  /// Maps the fiber the calling thread continues on if the calling task
+  /// parks.  Called before mu_ is taken, so a failed mapping fails the task.
+  void reserve_spare_fiber();
+  /// Parks the calling task's fiber (mu_ held; released while parked,
+  /// re-taken on resume).  Whoever ends the wait calls wake_locked(task).
+  void park_locked(TaskNode* task, std::unique_lock<std::mutex>& lock,
+                   bool commute = false);
+  /// Hands a parked task's fiber to its owner thread's runnable list and
+  /// unparks that thread if it sleeps (mu_ held).  No-op when `task` is not
+  /// parked.
+  void wake_locked(TaskNode* task);
+  /// The next woken fiber of `slot`, or nullptr.  Owner thread only.
+  std::unique_ptr<Fiber> take_runnable(ThreadSlot* slot);
+  /// Sleeps until one of `slot`'s fibers is woken.
+  void wait_runnable(ThreadSlot* slot);
   /// Blocks the calling task until on_task_unblocked fires for it; called
   /// with mu_ held.
   void wait_unblocked(TaskNode* task, std::unique_lock<std::mutex>& lock);
-  /// Called (with mu_ held) before a task blocks mid-body: if no idle
-  /// thread remains, spawns a compensating worker so ready tasks always
-  /// have an empty-stack executor.  Tasks are never executed inline on a
-  /// blocked task's stack — inlining lets a helped task block on a task
-  /// buried beneath it on the same stack, a deadlock no wakeup can fix.
-  void ensure_spare_worker();
-  /// Records the first failure, wakes every waiter/parked thread.
-  void record_error(std::exception_ptr err);
+  /// Takes `obj`'s commute token for `task`, queueing FIFO behind its holder
+  /// when it is taken (mu_ held).
+  void wait_commute_token(TaskNode* task, ObjectId obj,
+                          std::unique_lock<std::mutex>& lock);
+  /// Returns `task`'s hold on `obj` and wakes the waiter it passes to.
+  void release_commute_token_locked(ObjectId obj, TaskNode* task);
   /// Returns every commute token `task` still holds (mu_ held).  Called at
   /// task completion — including the root's, which never passes through
   /// execute() but may have taken tokens in its body.
   void release_commute_tokens_locked(TaskNode* task);
+  /// True once a throttled creator may resume creating, or must unwind
+  /// because its tenant was cancelled (mu_ held).
+  bool throttle_clear(const ThrottleWait& w) const;
+  /// Wakes the throttled creators that throttle_clear now admits: those of
+  /// `tenant`, or all of them when `tenant` is null or a backlog waiter
+  /// exists (mu_ held).
+  void wake_cleared_creators_locked(const TenantCtl* tenant);
+  /// The throttle give-up predicate: no engine thread but the caller's can
+  /// make progress.  `self` counts the caller's own thread (0 for the root
+  /// body, whose thread runs no other work).
+  bool all_idle_but(int self) const;
+  /// The rare edge that ends the give-up wait: when the last engine thread
+  /// goes idle with nothing ready, every throttled creator re-evaluates.
+  void wake_throttled_if_all_idle();
+  /// Records the first failure; wakes every parked task and idle thread.
+  void record_error(std::exception_ptr err);
 
   // --- object bytes: the BufferTable alone, so none of these touch mu_ -----
   void create_storage(const ObjectInfo& info, MachineId) override {
@@ -224,12 +317,6 @@ class ThreadEngine : public Engine,
   void publish_bytes(TaskNode* task, ObjectId obj,
                      std::span<const std::byte> bytes) override;
 
-  /// Registers the next ThreadSlot (single-threaded at run() start, under
-  /// mu_ afterwards) and publishes it to stealing threads.
-  ThreadSlot* add_slot(MachineId machine);
-
-  static constexpr int kMaxSlots = 4097;  ///< 4096 workers + the root thread
-
   /// The calling thread's binding, installed by TlsBinding.  Engine-tagged
   /// so a nested Runtime inside a task body cannot misroute callbacks.
   static thread_local ThreadEngine* tls_engine_;
@@ -253,12 +340,19 @@ class ThreadEngine : public Engine,
   // --- serializer domain: guarded by mu_ -----------------------------------
   // mu_ serializes the Serializer calls (single-threaded by contract; the
   // exempt prepare_task, task_started and granted are made without it) plus
-  // the blocked-task coordination that is driven by serializer callbacks:
-  // unblock delivery, commute-token ownership, throttle waits, first_error_.
+  // the waits driven by serializer callbacks: parked tasks, unblock
+  // delivery, commute-token ownership, throttle waits, first_error_.
   std::mutex mu_;
-  std::condition_variable state_cv_;  ///< blocked tasks / throttled creators
   Serializer serializer_;
+  /// Unblocks delivered and not yet consumed by their task's wait (one can
+  /// land before the task parks: a speculation committed by the same
+  /// critical section).
   std::unordered_set<TaskNode*> unblocked_;
+  /// Every parked task, by name.
+  std::unordered_map<TaskNode*, Parked> parked_;
+  /// Creators in the throttle wait, keyed by tenant so that a tenant task's
+  /// completion re-checks only that tenant's creators.
+  std::unordered_multimap<const TenantCtl*, ThrottleWait*> throttled_;
   /// Speculative run-ahead (shared implementation with SimEngine).
   /// Called under mu_, except the lock-free shadow reads via tls_spec_.
   SpeculationExecutor spec_;
@@ -273,17 +367,16 @@ class ThreadEngine : public Engine,
   /// task takes an object's token at its first commute accessor and holds
   /// it until completion.  Tasks taking tokens on several objects must do
   /// so in a consistent global order (as with any lock).  Shared
-  /// implementation with SimEngine (sched/governor.hpp); here waiters sleep
-  /// on state_cv_ and race for a freed token, so the table's FIFO wait
-  /// queues stay unused.
+  /// implementation with SimEngine (sched/governor.hpp): waiters queue FIFO
+  /// and a release hands the token to the oldest, which is woken by name.
   CommuteTokenTable commute_;
-  /// Threads currently waiting on state_cv_; notifications are skipped
-  /// entirely when zero, so unblocked hot paths never broadcast.
-  int cv_waiters_ = 0;
-  /// Creators currently suspended in the throttle loop (subset of
-  /// cv_waiters_).  Changed under mu_; read without it by execute(), which
-  /// notifies only when one exists.
+  /// Parked commute waiters (notify_external looks for cancelled ones).
+  int commute_waiters_ = 0;
+  /// Sizes of throttled_ and of its backlog-gated subset.  Changed under
+  /// mu_; read without it on hot paths, which then take mu_ only when a
+  /// waiter exists.
   std::atomic<int> throttle_waiters_{0};
+  std::atomic<int> backlog_waiters_{0};
   std::vector<std::thread> workers_;
   /// True once run() has executed; the next run() resets the scheduling
   /// state for a fresh graph (objects and buffers persist).
@@ -296,11 +389,16 @@ class ThreadEngine : public Engine,
   BufferTable buffers_;  ///< internally sharded
 
   // --- dispatch domain: lock-free deques + a small idle-set mutex ----------
-  /// Per-thread slots, created at run() start and by ensure_spare_worker.
-  /// The array is pre-sized so slot publication is a single release store
-  /// of slot_count_; stealing threads scan [0, slot_count_).
+  /// Per-thread slots, built at run() start before any worker starts and
+  /// unchanged until the pool joins, so stealers scan them with no lock.
   std::vector<std::unique_ptr<ThreadSlot>> slots_;
-  std::atomic<int> slot_count_{0};
+  /// The root body, while run() executes it (read by root_entry).
+  std::function<void(TaskContext&)>* root_body_ = nullptr;
+  /// Root-thread-only: the root body has returned.  Until then the root's
+  /// thread runs nothing else, so no task can park on a thread whose body
+  /// blocks outside the engine (a server's dispatcher waits for
+  /// submissions there).
+  bool root_returned_ = false;
   /// Ready tasks across all deques.  The single global fact the dispatch
   /// path maintains; parking and the throttle give-up predicate need it.
   std::atomic<std::int64_t> ready_count_{0};
@@ -310,16 +408,11 @@ class ThreadEngine : public Engine,
   std::mutex idle_mu_;
   std::vector<ThreadSlot*> idle_stack_;
   std::atomic<int> idle_count_{0};
-  /// Threads asleep in any engine wait (parked idle, throttle sleeps,
-  /// dependency waits).  When every thread would be asleep with nothing
+  /// Threads that can run engine work: the workers, plus the root's thread
+  /// once its body has returned.  When all of them are idle with nothing
   /// ready, a throttled creator is the only progress source and must give
-  /// up throttling instead of sleeping (see spawn()).  Nested helping
-  /// makes per-*task* counts wrong — a helped task sleeping on the root's
-  /// stack also parks the root — so this counts *threads*.
-  std::atomic<int> sleeping_threads_{0};
-  /// Worker threads + the root thread, once run() starts (grows when
-  /// compensating workers are spawned).
-  std::atomic<int> total_threads_{0};
+  /// up throttling instead of waiting (see spawn()).
+  std::atomic<int> engine_threads_{0};
   std::atomic<bool> stop_{false};
   /// The drain loop's exit condition: the graph drained (set by
   /// note_drained_locked) or the first error was recorded.

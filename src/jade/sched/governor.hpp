@@ -7,10 +7,8 @@
 //     extension): commuters may execute in any order but their accesses are
 //     mutually exclusive, so a task takes an object's token at its first
 //     commute accessor and holds it until completion (or an early no_cm).
-//     SimEngine queues waiters FIFO and hands the token over explicitly;
-//     ThreadEngine's waiters sleep on a condition variable and race for the
-//     freed token, so it never enqueues.  Both policies are expressible
-//     against this one table.
+//     Both engines queue waiters FIFO and resume the one release() hands
+//     the token to (SimEngine parks a process, ThreadEngine a fiber).
 //   * ThrottleGate — suppression of excess task creation (Section 3.3,
 //     Figure 7(e)): the water-mark predicates plus the suspension/give-up
 //     accounting, folded into RuntimeStats at the end of run().
@@ -70,8 +68,8 @@ class CommuteTokenTable {
 /// Water-mark predicates and accounting for task-creation throttling.  The
 /// gate owns the suspension/give-up counters (the engines publish them into
 /// RuntimeStats when run() ends); the engine owns the waiting itself, which
-/// is engine-specific (SimEngine parks a sim process, ThreadEngine sleeps
-/// on a condition variable with a deadlock-escape give-up).
+/// is engine-specific (SimEngine parks a sim process, ThreadEngine parks
+/// the creator's fiber with a deadlock-escape give-up).
 class ThrottleGate {
  public:
   explicit ThrottleGate(ThrottleConfig config) : config_(config) {}

@@ -23,8 +23,7 @@ namespace jade {
 
 /// Suppression of excess task creation (Section 3.3, Figure 7(e)): when the
 /// number of created-but-incomplete tasks exceeds high_water, the creating
-/// task is suspended (or, in ThreadEngine, made to execute ready tasks
-/// inline) until the backlog drains to low_water.  Serial semantics makes
+/// task is suspended until the backlog drains to low_water.  Serial semantics makes
 /// this deadlock-free: a task never waits for a later task.
 struct ThrottleConfig {
   bool enabled = false;

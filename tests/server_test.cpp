@@ -3,11 +3,15 @@
 // thousands of independent Jade programs multiplexed onto one engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
 #include <thread>
 
+#include "bounded_wait.hpp"
 #include "jade/mach/presets.hpp"
 #include "jade/server/server.hpp"
+#include "thread_count.hpp"
 
 namespace jade {
 namespace {
@@ -235,6 +239,85 @@ TEST(ServerMetrics, TenantNamespacedCountersPublished) {
   EXPECT_EQ(reg.counter("server.sessions_completed").value(), 1u);
   EXPECT_EQ(reg.histogram("server.session_latency").count(), 1u);
   s->close();
+}
+
+// The throttle give-up holds in a live server too.  A task takes a commute
+// token, then creates children that all need it; with a quota window of 4
+// the task is gated while it holds the token its children wait for.  Only
+// giving up the gate lets it finish.  The server's root thread (the
+// dispatcher, waiting for submissions outside the engine) cannot run
+// engine work, so the give-up must not wait for it to go idle.
+TEST(ServerQuota, GatedCreatorHoldingItsChildrensTokenGivesUp) {
+  run_bounded("gated creator in a live server", [] {
+    ServerConfig cfg = thread_config(2);
+    cfg.quota_pool = 4;
+    JadeServer server(cfg);
+    auto s = server.open_session("holder");
+    auto ctr = s->alloc<std::int64_t>(1, "ctr");
+    s->submit([ctr](TaskContext& ctx) {
+      ctx.withonly([&](AccessDecl& d) { d.cm(ctr); },
+                   [ctr](TaskContext& t) {
+                     t.commute(ctr)[0] += 1;
+                     for (int i = 0; i < 10; ++i)
+                       t.withonly([&](AccessDecl& d) { d.cm(ctr); },
+                                  [ctr](TaskContext& c) {
+                                    c.commute(ctr)[0] += 1;
+                                  });
+                   });
+    });
+    EXPECT_EQ(s->wait(), SessionState::kCompleted);
+    EXPECT_EQ(s->get(ctr)[0], 11);
+    s->close();
+    server.stop();
+    EXPECT_GE(server.runtime().stats().throttle_giveups, 1u);
+  });
+}
+
+// Churn shaped like bench_server_churn's: short programs of 8 commuting
+// increments through a 256-slot window with a quota pool, on 4 workers.
+// Gated creators and token waiters park their fibers, so the server runs on
+// its dispatcher and the workers and starts no other thread.
+TEST(ServerThreads, ChurnStaysOnDispatcherAndWorkers) {
+  constexpr int kWorkers = 4;
+  constexpr int kSessions = 500;
+  constexpr std::size_t kOutstanding = 512;
+  const int before = process_threads();
+  int peak = before;
+  ServerConfig cfg = thread_config(kWorkers);
+  cfg.admission.max_active_sessions = 256;
+  cfg.admission.max_queued_sessions = 2048;
+  cfg.quota_pool = 2048;
+  JadeServer server(cfg);
+  struct InFlight {
+    std::shared_ptr<Session> session;
+    SharedRef<std::int64_t> counter;
+  };
+  std::deque<InFlight> outstanding;
+  const auto retire_front = [&] {
+    InFlight f = std::move(outstanding.front());
+    outstanding.pop_front();
+    EXPECT_EQ(f.session->wait(), SessionState::kCompleted);
+    EXPECT_EQ(f.session->get(f.counter)[0], 8);
+    f.session->close();
+  };
+  for (int i = 0; i < kSessions; ++i) {
+    if (outstanding.size() >= kOutstanding) retire_front();
+    auto s = server.open_session("churn" + std::to_string(i));
+    ASSERT_NE(s, nullptr);
+    auto ctr = s->alloc<std::int64_t>(1, "ctr");
+    s->submit([ctr](TaskContext& ctx) {
+      for (int k = 0; k < 8; ++k)
+        ctx.withonly([&](AccessDecl& d) { d.cm(ctr); },
+                     [ctr](TaskContext& t) { t.commute(ctr)[0] += 1; });
+    });
+    outstanding.push_back({std::move(s), ctr});
+    peak = std::max(peak, process_threads());
+  }
+  while (!outstanding.empty()) {
+    retire_front();
+    peak = std::max(peak, process_threads());
+  }
+  EXPECT_LE(peak, before + kWorkers + 1);
 }
 
 class BatchServerTest : public ::testing::TestWithParam<EngineKind> {};

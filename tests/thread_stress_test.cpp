@@ -1,24 +1,30 @@
 // ThreadEngine-specific concurrency tests: the sharded buffer table, the
 // determinism contract under real parallelism (results must equal the
-// SerialEngine's bit-for-bit), the throttle deadlock-escape, and
-// compensating-worker growth when every pool thread is blocked.
+// SerialEngine's bit-for-bit), the throttle deadlock-escape, and tasks that
+// block parking their fibers instead of their threads.
 //
 // The scheduling tests are built so the interesting path is *forced*, not
 // raced into: the throttle test constructs a graph whose backlog cannot
-// drain until the creator gives up, and the compensating test blocks the
-// only pool worker on a child that no existing thread can run.
+// drain until the creator gives up, and the parking tests block pool
+// workers on children or tokens that only a fresh fiber of the same thread
+// can get past.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <thread>
 #include <vector>
 
 #include "jade/core/runtime.hpp"
 #include "jade/engine/buffer_table.hpp"
+#include "thread_count.hpp"
 
 namespace jade {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(BufferTable, CreatePutGetRoundtrip) {
   BufferTable bt;
@@ -130,37 +136,71 @@ TEST(ThreadStress, ThrottledCreatorGivesUpInsteadOfDeadlocking) {
   EXPECT_GE(rt.stats().throttle_giveups, 1u);
 }
 
-// Compensating workers: with a one-worker pool, that worker's task blocks on
-// a child it created — a child no existing thread can run (the root is busy
-// in its own body, the worker is the blocker).  The engine must grow the
-// pool by a compensating worker rather than deadlock; inlining the child on
-// the blocked worker's stack is not an option the engine may take (see
-// ensure_spare_worker in the engine).
-TEST(ThreadStress, BlockedWorkerSpawnsCompensatingWorker) {
+// A blocked task parks its fiber, not its thread: with a one-worker pool,
+// that worker's task blocks on a child it created — a child no other thread
+// can run (the root's thread runs nothing but its body until the body
+// returns).  The worker must continue on a fresh fiber and run the child
+// itself; inlining the child on the blocked task's stack is not an option
+// the engine may take (DESIGN.md, "No inline helping").
+TEST(ThreadStress, BlockedTaskParksAndItsThreadRunsTheChild) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kThread;
   cfg.threads = 1;
   Runtime rt(std::move(cfg));
   auto w = rt.alloc<std::uint64_t>(1, "w");
   std::atomic<bool> done{false};
+  std::thread::id parent_thread;
+  std::thread::id child_thread;
   rt.run([&](TaskContext& ctx) {
     ctx.withonly([&](AccessDecl& d) { d.rd_wr(w); },
-                 [w, &done](TaskContext& t) {
+                 [&, w](TaskContext& t) {
+                   parent_thread = std::this_thread::get_id();
                    // Child's record enqueues ahead of ours; accessing w now
                    // must block until the child retires it.
                    t.withonly([&](AccessDecl& d) { d.rd_wr(w); },
-                              [w, &done](TaskContext& c) {
+                              [&, w](TaskContext& c) {
+                                child_thread = std::this_thread::get_id();
                                 c.read_write(w)[0] = 42;
                                 done.store(true, std::memory_order_release);
                               });
                    t.read_write(w)[0] += 1;
                  });
     // Keep the root thread out of the task-stealing pool until the child
-    // ran: only a compensating worker can execute it.
+    // ran: only the blocked worker's thread can execute it.
     while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
   });
   EXPECT_EQ(rt.get(w)[0], 43u);
-  EXPECT_GE(rt.stats().compensating_workers, 1u);
+  EXPECT_EQ(child_thread, parent_thread);
+  EXPECT_GE(rt.stats().fiber_parks, 1u);
+}
+
+// The thread bound: 100 tasks on 2 workers all commute on one object and
+// hold its token for about 300 us each, so nearly every task waits for the
+// token while another holds it.  Waiting tasks park their fibers; no
+// thread is started for them, so the process never has more than the
+// caller's thread plus the two workers.
+TEST(ThreadStress, TokenWaitersNeverAddThreads) {
+  constexpr int kTasks = 100;
+  RuntimeConfig cfg;
+  cfg.engine = EngineKind::kThread;
+  cfg.threads = 2;
+  Runtime rt(std::move(cfg));
+  auto acc = rt.alloc<std::uint64_t>(1, "acc");
+  const int before = process_threads();
+  int peak = before;  // written only while holding acc's commute token
+  rt.run([&](TaskContext& ctx) {
+    for (int i = 0; i < kTasks; ++i) {
+      ctx.withonly([&](AccessDecl& d) { d.cm(acc); },
+                   [acc, &peak](TaskContext& t) {
+                     t.commute(acc)[0] += 1;
+                     std::this_thread::sleep_for(300us);
+                     peak = std::max(peak, process_threads());
+                   });
+    }
+  });
+  EXPECT_EQ(rt.get(acc)[0], static_cast<std::uint64_t>(kTasks));
+  EXPECT_LE(peak, before + 2);
+  EXPECT_GE(rt.stats().fiber_parks, 1u);
 }
 
 }  // namespace

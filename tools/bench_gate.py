@@ -97,8 +97,15 @@ def check_model(doc):
             f"tuner wins = {fit['tuner_wins']}")
 
 
+# A live JadeServer on 4 workers runs on the host thread, its dispatcher and
+# the workers: a task that waits parks its fiber, never adds a thread.
+SERVER_CHURN_MAX_THREADS = 6
+
+
 def check_server_churn(doc):
     phases = {r["phase"]: r for r in doc["rows"]}
+    for row in phases.values():
+        expect(row["peak_threads"] <= SERVER_CHURN_MAX_THREADS, row)
     hold = phases["concurrency_hold"]
     expect(hold["peak_live"] >= 1000, hold)
     expect(hold["latency_p99_s"] > 0, hold)
@@ -110,7 +117,8 @@ def check_server_churn(doc):
     expect(td["cancelled"] > 0 and td["completed"] > 0, td)
     expect(td["followup_sessions"] > 0, td)
     return (f"peak_live = {hold['peak_live']}, churn submissions/s = "
-            f"{churn['submissions_per_sec']}, p99 = {churn['latency_p99_s']}")
+            f"{churn['submissions_per_sec']}, p99 = {churn['latency_p99_s']}, "
+            f"peak threads = {max(r['peak_threads'] for r in phases.values())}")
 
 
 def check_cluster(doc):
