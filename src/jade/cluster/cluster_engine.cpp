@@ -423,7 +423,10 @@ void ClusterEngine::handle_frame_locked(int s, const Frame& f) {
       handle_spawn_locked(s, unpack<SpawnMsg>(f.payload));
       return;
     case FrameType::kWithCont:
-      handle_with_cont_locked(s, unpack<WithContMsg>(f.payload));
+      handle_with_cont_locked(s, unpack<WithContMsg>(f.payload), true);
+      return;
+    case FrameType::kRetire:
+      handle_with_cont_locked(s, unpack<WithContMsg>(f.payload), false);
       return;
     case FrameType::kAcquire:
       handle_acquire_locked(s, unpack<AcquireMsg>(f.payload));
@@ -489,11 +492,13 @@ void ClusterEngine::create_registered_locked(
   rec.args = std::move(args);
 }
 
-void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
+void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg,
+                                            bool acked) {
   WorkerSlot& slot = slots_[static_cast<std::size_t>(s)];
   TaskNode* task = slot.running;
   if (task == nullptr || task->id() != msg.task)
-    throw ProtocolError("with_cont for a task not running on machine " +
+    throw ProtocolError(std::string(acked ? "with_cont" : "retire") +
+                        " for a task not running on machine " +
                         std::to_string(slot.machine));
   ++rpc_with_conts_;
   TaskRec& rec = recs_[task];
@@ -502,8 +507,9 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
   rec.restartable = false;
 
   if (aborting_) {
-    refuse_locked(*slot.channel, PendingRpc::Kind::kWithCont, task,
-                  kInvalidObject, UnrecoverableError("run aborted"));
+    if (acked)
+      refuse_locked(*slot.channel, PendingRpc::Kind::kWithCont, task,
+                    kInvalidObject, UnrecoverableError("run aborted"));
     return;
   }
 
@@ -531,11 +537,20 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
     if (item.req.add_immediate | item.req.add_deferred | item.req.remove)
       rpc.requests.push_back({item.req.obj, item.req.add_immediate,
                               item.req.add_deferred, item.req.remove});
+  // A retire's worker has already dropped the rights and is not waiting:
+  // it must only remove bits, which cannot block or fail.
+  if (!acked)
+    for (const AccessRequest& req : rpc.requests)
+      if (req.add_immediate | req.add_deferred)
+        throw ProtocolError("retire adds rights on object " +
+                            std::to_string(req.obj));
   bool must_block = false;
   if (!rpc.requests.empty()) {
     try {
       must_block = serializer_.update_spec(task, rpc.requests);
     } catch (const std::exception& e) {
+      if (!acked)
+        throw ProtocolError(std::string("retire refused: ") + e.what());
       refuse_locked(*slot.channel, PendingRpc::Kind::kWithCont, task,
                     kInvalidObject, e);
       drain_unblocked_locked();
@@ -547,7 +562,7 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
   if (must_block) {
     rpc.stage = PendingRpc::Stage::kSerializer;
     pending_[task] = std::move(rpc);
-  } else {
+  } else if (acked) {
     finish_with_cont_locked(task, rpc);
   }
   pump_locked();

@@ -153,7 +153,9 @@ class ClusterEngine : public Engine,
 
   // --- frame handlers (mu_ held) -------------------------------------------
   void handle_spawn_locked(int slot, const SpawnMsg& msg);
-  void handle_with_cont_locked(int slot, const WithContMsg& msg);
+  /// A WithCont (`acked`: answered with a WithContAck or a refusal) or a
+  /// one-way Retire, whose rejection is a ProtocolError.
+  void handle_with_cont_locked(int slot, const WithContMsg& msg, bool acked);
   void handle_acquire_locked(int slot, const AcquireMsg& msg);
   void handle_done_locked(int slot, const DoneMsg& msg);
   void handle_task_error_locked(int slot, const TaskErrorMsg& msg);

@@ -58,8 +58,10 @@ enum class FrameType : std::uint8_t {
   kObjFetch = 12,   ///< coordinator -> worker: send me your copy of obj
   kObjData = 13,    ///< worker -> coordinator: reply to kObjFetch
   kShutdown = 14,   ///< coordinator -> worker: exit cleanly
+  kRetire = 15,     ///< worker -> coordinator: one-way with_cont that only
+                    ///< retires held rights (WithContMsg payload, no ack)
 };
-inline constexpr std::uint8_t kMaxFrameType = 14;
+inline constexpr std::uint8_t kMaxFrameType = 15;
 
 /// One decoded frame.
 struct Frame {
@@ -189,6 +191,7 @@ struct WithContItem {
   }
 };
 
+/// Payload of both kWithCont and kRetire.
 struct WithContMsg {
   std::uint64_t task = 0;
   std::vector<WithContItem> items;

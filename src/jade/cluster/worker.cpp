@@ -21,9 +21,11 @@ namespace jade::cluster {
 namespace {
 
 /// Engine facade inside a worker process.  One task runs at a time; every
-/// serializer-relevant operation (acquire, with_cont, spawn) is an RPC to
-/// the coordinator.  Interleaved coordinator frames (object-fetch probes)
-/// are served while waiting for an ack.
+/// serializer-relevant operation (acquire, with_cont, spawn) is a message to
+/// the coordinator, and acquire and with_cont wait for its ack — except a
+/// with_cont that only retires held rights, which can neither block nor
+/// fail and travels one way.  Interleaved coordinator frames (object-fetch
+/// probes) are served while waiting for an ack.
 class WorkerEngine : public Engine, public RegisteredSpawner {
  public:
   WorkerEngine(Channel& ch, MachineId machine, int machines)
@@ -182,7 +184,11 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
                  const std::vector<AccessRequest>& requests) override {
     WithContMsg msg;
     msg.task = task_id_;
+    bool retire_only = true;
     for (const AccessRequest& req : requests) {
+      retire_only = retire_only &&
+                    (req.add_immediate | req.add_deferred) == 0 &&
+                    states_.count(req.obj) != 0;
       WithContItem item;
       item.req.obj = req.obj;
       item.req.add_immediate = req.add_immediate;
@@ -199,6 +205,19 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
         it->second.wrote = false;
       }
       msg.items.push_back(std::move(item));
+    }
+    if (retire_only) {
+      // Removing bits from a declared record cannot block or fail, so the
+      // rights go here at once and nothing waits for the coordinator.  An
+      // undeclared object keeps the RPC and its SpecUpdateError.
+      if (!ch_.send(FrameType::kRetire, pack(msg))) _exit(0);
+      for (const AccessRequest& req : requests) {
+        ObjectState& st = states_[req.obj];
+        st.immediate &= static_cast<std::uint8_t>(~req.remove);
+        st.deferred &= static_cast<std::uint8_t>(~req.remove);
+        if ((st.immediate & access::kCommute) == 0) st.cm_confirmed = false;
+      }
+      return;
     }
     if (!ch_.send(FrameType::kWithCont, pack(msg))) _exit(0);
     const WithContAckMsg ack = await_with_cont_ack();

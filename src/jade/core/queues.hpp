@@ -74,8 +74,10 @@ struct DeclRecord : IntrusiveNode {
   /// A declared-but-unexercised write is what makes a successor speculable:
   /// the bytes it would contest have not been touched yet.
   std::uint8_t exercised = 0;
-  /// Set when the owner links a child's record directly ahead of this one.
-  /// Only the owner's thread writes or reads it (Serializer::granted).
+  /// Set when a child's record is linked directly ahead of this one.
+  /// Written under the caller's discipline, by whichever thread links the
+  /// child; read without it by the owner's thread (Serializer::granted),
+  /// which the caller must first make see every such write.
   bool child_ahead = false;
   /// The queue this record was linked into, so retirement needs no lookup.
   ObjectQueue* queue = nullptr;
@@ -259,9 +261,10 @@ class Serializer {
   /// non-commute right and has linked no child's record ahead of it.  With
   /// the hierarchy rule enforced, nothing that conflicts can then be ahead
   /// (any other record that lands ahead is covered by a compatible one
-  /// already there), so the access needs no acquire().  Reads only fields
-  /// the task's own thread writes; that thread may call it outside the
-  /// caller's discipline.
+  /// already there), so the access needs no acquire().  Reads only the
+  /// task's own records: rights that only the task's thread writes, and
+  /// child_ahead flags, which the caller must have published to that
+  /// thread.  That thread may call it outside the caller's discipline.
   bool granted(const TaskNode* task, ObjectId obj, std::uint8_t mode) const;
 
   /// Applies a with-cont specification update to a running task: converts

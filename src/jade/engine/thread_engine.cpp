@@ -106,6 +106,7 @@ void ThreadEngine::idle_park(ThreadSlot* slot, bool drain) {
   }
   bool wake_now = stop_.load(std::memory_order_seq_cst) ||
                   ready_count_.load(std::memory_order_seq_cst) > 0 ||
+                  batched_.load(std::memory_order_seq_cst) > 0 ||
                   slot->runnable_count.load(std::memory_order_seq_cst) > 0 ||
                   (spec_.enabled() &&
                    spec_epoch_.load(std::memory_order_seq_cst) !=
@@ -262,6 +263,8 @@ void ThreadEngine::worker_loop(ThreadSlot* slot) {
     // No ready work: run ahead speculatively rather than going idle.
     if (try_speculate(slot)) continue;
     if (!drain && spin_for_work(slot)) continue;
+    // A creator may be busy outside the engine while its batch waits.
+    if (link_stranded_batches()) continue;
     idle_park(slot, drain);
   }
 }
@@ -286,7 +289,10 @@ void ThreadEngine::root_entry(void* engine) {
   // The root never passes through execute(): return any commute tokens its
   // body took, or commuting tasks would wait on them forever.
   self->release_commute_tokens_locked(root);
-  if (!root_failed) {
+  if (root_failed) {
+    self->drop_batch(tls_slot_);
+  } else {
+    self->link_batch_locked(tls_slot_);
     self->serializer_.complete_task(root);
     self->drain_spec_decides_locked(tls_slot_);
     self->note_drained_locked();
@@ -336,6 +342,7 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       first_error_ = nullptr;
       stats_ = RuntimeStats{};
       ready_count_.store(0, std::memory_order_seq_cst);
+      batched_.store(0, std::memory_order_seq_cst);
       {
         std::lock_guard<std::mutex> idle(idle_mu_);
         idle_stack_.clear();
@@ -465,7 +472,11 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     release_commute_tokens_locked(task);
-    if (!failed) {
+    if (failed) {
+      drop_batch(slot);
+    } else {
+      // The body's last children link ahead of its completion.
+      link_batch_locked(slot);
       // Completion retires the task's records; newly enabled tasks land in
       // this thread's deque via on_task_ready, which wakes a stealer for
       // each — except the first, which this thread pops itself on the next
@@ -624,6 +635,51 @@ void ThreadEngine::notify_external() {
   }
 }
 
+// --- batched linking -------------------------------------------------------
+
+void ThreadEngine::link_locked(std::unique_ptr<TaskNode> prepared) {
+  TaskNode* task = serializer_.link_task(std::move(prepared));
+  ++stats_.tasks_created;
+  if (spec_.enabled() && spec_.offer(task)) {
+    // Candidates bypass ready_count_, so run the same register-then-recheck
+    // wake protocol by hand: bump the epoch (parking threads re-check it),
+    // then unpark one already-parked thread to scan.
+    spec_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    wake_one();
+  }
+  if (tracer_.enabled())
+    tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
+                    machine_of(task->parent()), 0, task->name());
+}
+
+void ThreadEngine::link_batch_locked(ThreadSlot* slot) {
+  // The owner's own appends are sequenced before this load; another thread
+  // got here through batched_, whose increment follows the append.
+  if (slot->batch_size.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> guard(slot->batch_mu);
+  for (std::unique_ptr<TaskNode>& task : slot->batch)
+    link_locked(std::move(task));
+  batched_.fetch_sub(static_cast<std::int64_t>(slot->batch.size()),
+                     std::memory_order_seq_cst);
+  slot->batch.clear();
+  slot->batch_size.store(0, std::memory_order_release);
+}
+
+void ThreadEngine::drop_batch(ThreadSlot* slot) {
+  std::lock_guard<std::mutex> guard(slot->batch_mu);
+  batched_.fetch_sub(static_cast<std::int64_t>(slot->batch.size()),
+                     std::memory_order_seq_cst);
+  slot->batch.clear();
+  slot->batch_size.store(0, std::memory_order_release);
+}
+
+bool ThreadEngine::link_stranded_batches() {
+  if (batched_.load(std::memory_order_seq_cst) == 0) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& s : slots_) link_batch_locked(s.get());
+  return true;
+}
+
 // --- TaskContext backend ---------------------------------------------------
 
 void ThreadEngine::spawn(TaskNode* parent,
@@ -638,30 +694,45 @@ void ThreadEngine::spawn(TaskNode* parent,
   TenantCtl* pctl = parent->tenant();
   if (cancelled(pctl)) throw TenantUnwind{};
   // Only the throttle or a tenant quota can park a creator.
-  if (throttle_.enabled() || pctl != nullptr) reserve_spare_fiber();
+  const bool governed = throttle_.enabled() || pctl != nullptr;
+  if (governed) reserve_spare_fiber();
   // Build and check the task before taking the lock; only linking it into
   // the declaration queues needs mu_.
   std::unique_ptr<TaskNode> prepared = serializer_.prepare_task(
       parent, requests, std::move(body), std::move(name), tenant);
-  std::unique_lock<std::mutex> lock(mu_);
-  TaskNode* task = serializer_.link_task(std::move(prepared));
-  ++stats_.tasks_created;
-  if (spec_.enabled() && spec_.offer(task)) {
-    // Candidates bypass ready_count_, so run the same register-then-recheck
-    // wake protocol by hand: bump the epoch (parking threads re-check it),
-    // then unpark one already-parked thread to scan.
-    spec_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    wake_one();
+  ThreadSlot* slot = tls_slot_;
+  // The task waits in this thread's batch while every thread has work and
+  // holding it back changes nothing anyone sees.  It links at once — a
+  // batch of one, after the tasks created before it — when the throttle or
+  // a quota must count it now, when it is a program root (a server's
+  // dispatcher then waits outside the engine), when speculation may bet on
+  // it from its creation, when no task is ready or a thread is idle, or
+  // when the batch is full.
+  const bool at_once = governed || tenant != nullptr || spec_.enabled();
+  if (!at_once) {
+    std::size_t held = 0;
+    {
+      std::lock_guard<std::mutex> guard(slot->batch_mu);
+      slot->batch.push_back(std::move(prepared));
+      held = slot->batch.size();
+      slot->batch_size.store(held, std::memory_order_relaxed);
+    }
+    // Counted before idle_count_ is read, so a thread that registers idle
+    // after this read sees the count (idle_park) and links the batch.
+    batched_.fetch_add(1, std::memory_order_seq_cst);
+    if (held < kBatchSize &&
+        ready_count_.load(std::memory_order_seq_cst) > 0 &&
+        idle_count_.load(std::memory_order_seq_cst) == 0)
+      return;
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  link_batch_locked(slot);
+  if (prepared != nullptr) link_locked(std::move(prepared));
+  if (!governed) return;
   const bool global = throttle_.should_throttle(serializer_.backlog());
   const bool gated = pctl != nullptr && throttle_.tenant_gated(*pctl);
   ThrottleWait wait{parent, pctl, global, gated};
-  const bool wait_needed = global || gated;
-  if (!wait_needed) lock.unlock();
-  if (tracer_.enabled())
-    tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
-                    machine_of(parent), 0, task->name());
-  if (!wait_needed) return;
+  if (!global && !gated) return;
 
   // Too much exploited concurrency — globally (Section 3.3) or against this
   // tenant's quota window: park the creator until the pressure drains.  If
@@ -716,6 +787,8 @@ void ThreadEngine::with_cont(TaskNode* task,
   if (task->speculating()) throw SpeculationUnwind{};
   reserve_spare_fiber();
   std::unique_lock<std::mutex> lock(mu_);
+  // The children created so far sit ahead of the records this updates.
+  link_batch_locked(tls_slot_);
   const bool must_block = serializer_.update_spec(task, requests);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
@@ -735,13 +808,20 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   if (task->speculating())
     return SpeculationExecutor::shadow(tls_spec_, task, obj, mode);
   // An accessor on a right the task already holds needs no lock
-  // (Serializer::granted).  Speculation keeps the locked path: its commit
-  // check counts every exercised write.
-  if (!spec_.enabled() && serializer_.granted(task, obj, mode))
+  // (Serializer::granted) once every child the task created is linked: an
+  // unlinked child may belong ahead of the record.  The acquire load pairs
+  // with the release of whichever thread linked the batch, so granted sees
+  // the child_ahead flags that link set.  Speculation keeps the locked
+  // path: its commit check counts every exercised write.
+  ThreadSlot* slot = tls_slot_;
+  if (!spec_.enabled() &&
+      slot->batch_size.load(std::memory_order_acquire) == 0 &&
+      serializer_.granted(task, obj, mode))
     return buffers_.data(obj);
   reserve_spare_fiber();
   {
     std::unique_lock<std::mutex> lock(mu_);
+    link_batch_locked(slot);
     if (serializer_.acquire(task, obj, mode)) wait_unblocked(task, lock);
     if (mode & access::kCommute) wait_commute_token(task, obj, lock);
   }

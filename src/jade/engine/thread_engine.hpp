@@ -7,10 +7,11 @@
 // The execution path is decomposed so the one global mutex guards only what
 // is global by contract — the Serializer, which is single-threaded by
 // design — and nothing else (docs/PERFORMANCE.md spells out the hierarchy).
-// A task takes that mutex twice: once when its creator links it into the
-// declaration queues, once when it completes.  Building the task, starting
-// it, its accessors on rights it already holds, and the drain loop's
-// polling take no lock.
+// A task takes that mutex once, when it completes, plus its share of one
+// batch link: each thread keeps the tasks its running body creates in a
+// per-thread batch and links the whole batch, in creation order, under one
+// hold (see spawn).  Building the task, starting it, its accessors on
+// rights it already holds, and the drain loop's polling take no lock.
 //
 //   * Ready-task dispatch runs through per-thread Chase–Lev work-stealing
 //     deques (support/work_steal_deque.hpp).  A task enabled by thread T is
@@ -152,6 +153,18 @@ class ThreadEngine : public Engine,
     /// stack there), so a waker knows to unpark it.
     std::atomic<bool> awaits_fiber{false};
 
+    // --- batched linking (see spawn) ----------------------------------------
+    /// Tasks the body running on this thread created and nobody has linked
+    /// yet, in creation order.  Guarded by batch_mu, a leaf lock taken after
+    /// mu_: the owner appends under batch_mu alone, and any thread holding
+    /// mu_ may link the batch (link_batch_locked).
+    std::mutex batch_mu;
+    std::vector<std::unique_ptr<TaskNode>> batch;
+    /// batch.size().  A link that empties the batch stores 0 with release,
+    /// after setting its DeclRecord::child_ahead flags; the owner loads it
+    /// with acquire before Serializer::granted reads those flags.
+    std::atomic<std::size_t> batch_size{0};
+
     // Owner-thread-only cells (no sharing until the post-join fold).
     double charged = 0;
     std::uint64_t executed = 0;
@@ -228,8 +241,9 @@ class ThreadEngine : public Engine,
   /// which also hands the core back to the producer on small machines.
   bool spin_for_work(ThreadSlot* slot);
   /// Parks `slot` until a producer wakes it.  Registers in the idle set
-  /// first and re-checks for work (and, for the `drain` thread, drain_exit_)
-  /// after registering, so a concurrent producer cannot be missed.
+  /// first and re-checks for work, batched tasks (and, for the `drain`
+  /// thread, drain_exit_) after registering, so a concurrent producer or
+  /// creator cannot be missed.
   void idle_park(ThreadSlot* slot, bool drain);
   /// Removes `slot` from the idle set; false when it was not there (busy,
   /// or a producer already claimed it and an unpark is in flight).
@@ -288,6 +302,21 @@ class ThreadEngine : public Engine,
   void wake_throttled_if_all_idle();
   /// Records the first failure; wakes every parked task and idle thread.
   void record_error(std::exception_ptr err);
+
+  // --- batched linking -------------------------------------------------------
+
+  /// Links one prepared task into the declaration queues (mu_ held).
+  void link_locked(std::unique_ptr<TaskNode> prepared);
+  /// Links `slot`'s batch in creation order (mu_ held).  Called by the
+  /// owner before anything that must see its children linked, and by any
+  /// thread that links a stranded batch.
+  void link_batch_locked(ThreadSlot* slot);
+  /// Discards `slot`'s batch: its creator's body threw, and no serializer
+  /// state refers to those tasks.
+  void drop_batch(ThreadSlot* slot);
+  /// Links every thread's batch; false when none was pending.  Called by a
+  /// thread that found no work and finished its spin, before it parks.
+  bool link_stranded_batches();
 
   // --- object bytes: the BufferTable alone, so none of these touch mu_ -----
   void create_storage(const ObjectInfo& info, MachineId) override {
@@ -402,6 +431,13 @@ class ThreadEngine : public Engine,
   /// Ready tasks across all deques.  The single global fact the dispatch
   /// path maintains; parking and the throttle give-up predicate need it.
   std::atomic<std::int64_t> ready_count_{0};
+  /// Tasks waiting in all threads' batches.  A creator counts its task
+  /// before it checks idle_count_, and a parking thread re-checks this after
+  /// registering idle (both seq_cst), so no batch is left with every thread
+  /// asleep.
+  std::atomic<std::int64_t> batched_{0};
+  /// A batch links once it holds this many tasks.
+  static constexpr std::size_t kBatchSize = 64;
   /// Idle (parked or about-to-park) threads, popped by producers for
   /// targeted wakes.  idle_mu_ is a leaf lock: acquired with or without
   /// mu_, never the other way around.

@@ -4,20 +4,26 @@
 //
 // Covers the PR's acceptance criteria: a Jade program across 4 worker
 // processes with serial-identical results; worker-spawned children;
-// with-cont conversion and retire; commute serialization; placement;
-// error propagation across the process boundary; engine reuse with host
-// writes between runs; the debug coherence probe; and recovery from a
-// SIGKILLed worker via the heartbeat failure detector.
+// with-cont conversion and retire (a retirement is one frame, and a later
+// access of the retired right fails as on SerialEngine); commute
+// serialization; placement; error propagation across the process
+// boundary; engine reuse with host writes between runs; the debug
+// coherence probe; and recovery from a SIGKILLed worker via the heartbeat
+// failure detector.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "jade/apps/relax.hpp"
 #include "jade/cluster/cluster_engine.hpp"
+#include "jade/cluster/frame.hpp"
 #include "jade/cluster/registry.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/support/error.hpp"
@@ -133,6 +139,34 @@ const int kReadUndeclared = BodyRegistry::instance().ensure(
       const auto undeclared = get_ref<double>(r);
       (void)t.read(declared);
       (void)t.read(undeclared);  // not in the spec: must throw
+    });
+
+const int kRetireThenRead = BodyRegistry::instance().ensure(
+    "test.retire_then_read", [](TaskContext& t, WireReader& r) {
+      const auto obj = get_ref<double>(r);
+      (void)t.read(obj);
+      t.with_cont([&](AccessDecl& d) { d.no_rd(obj); });
+      (void)t.read(obj);  // retired: must throw
+    });
+
+// Writes a Retire frame for a task this worker does not run straight onto
+// the worker's socket (its only one), as a confused or hostile worker
+// might.
+const int kForgeRetire = BodyRegistry::instance().ensure(
+    "test.forge_retire", [](TaskContext&, WireReader&) {
+      cluster::WithContMsg msg;
+      msg.task = std::uint64_t{1} << 40;
+      const std::vector<std::byte> frame = cluster::encode_frame(
+          cluster::FrameType::kRetire, cluster::pack(msg));
+      for (int fd = 3; fd < 1024; ++fd) {
+        struct stat st;
+        if (::fstat(fd, &st) != 0 || !S_ISSOCK(st.st_mode)) continue;
+        if (::write(fd, frame.data(), frame.size()) !=
+            static_cast<ssize_t>(frame.size()))
+          throw std::runtime_error("short write of the forged frame");
+        return;
+      }
+      throw std::runtime_error("worker socket not found");
     });
 
 // --- helpers ----------------------------------------------------------------
@@ -588,6 +622,78 @@ TEST(ClusterEngine, StatsAggregateAcrossProcesses) {
   EXPECT_GT(rt.stats().messages, 0u);
   EXPECT_GT(rt.stats().bytes_sent, 0u);
   EXPECT_GT(rt.stats().heartbeats_sent, 0u);
+}
+
+// relax's pipelined sweep converts each neighbor strip's df_rd to rd, copies
+// the halo row and retires the right.  A conversion is a round trip
+// (WithCont, WithContAck); a retirement only removes rights the task holds,
+// so it is one Retire frame and no ack.  Every task is one Dispatch and one
+// Done; the only other traffic is heartbeats.
+TEST(ClusterEngine, PipelinedRelaxAcksConversionsButNotRetirements) {
+  apps::RelaxConfig c;
+  c.rows = 24;
+  c.cols = 16;
+  c.strips = 4;
+  c.iterations = 3;
+  c.pipelined = true;
+  apps::RelaxState expect = apps::make_relax(c);
+  apps::relax_run_serial(c, expect);
+
+  Runtime rt(cluster_config(2, /*spares=*/0));
+  auto w = apps::upload_relax(rt, c, apps::make_relax(c));
+  // Warm-up: fork, handshake, activation.
+  auto src = rt.alloc_init<double>(std::vector<double>{1.0}, "src");
+  auto out = rt.alloc<double>(1, "out");
+  rt.run([&](TaskContext& ctx) { spawn_fanout(ctx, src, {out}); });
+  const std::uint64_t before = rt.stats().messages;
+  rt.run([&](TaskContext& ctx) { apps::relax_run_jade(ctx, w); });
+  const RuntimeStats& s = rt.stats();
+  const std::uint64_t tasks = static_cast<std::uint64_t>(c.strips) *
+                              static_cast<std::uint64_t>(c.iterations);
+  // Interior strips have two neighbors, the end strips one.
+  const std::uint64_t conversions = static_cast<std::uint64_t>(c.iterations) *
+                                    2u *
+                                    static_cast<std::uint64_t>(c.strips - 1);
+  EXPECT_EQ(s.messages - before - s.heartbeats_sent,
+            2u * tasks + 2u * conversions + conversions);
+  EXPECT_EQ(apps::download_relax(rt, w).grid, expect.grid);
+}
+
+// A retirement travels one way, so the worker drops the right itself: a
+// later read of the retired object must still fail with SerialEngine's
+// error type and message (the cluster names the task after it).
+TEST(ClusterEngine, ReadAfterRetireRaisesTheSerialError) {
+  const auto error_of = [](const RuntimeConfig& cfg) -> std::string {
+    Runtime rt(cfg);
+    auto x = rt.alloc<double>(1, "x");
+    try {
+      rt.run([&](TaskContext& ctx) {
+        WireWriter args;
+        put_ref(args, x);
+        cluster::spawn(ctx, kRetireThenRead, std::move(args),
+                       [&](AccessDecl& d) { d.rd(x); });
+      });
+    } catch (const UndeclaredAccessError& e) {
+      return e.what();
+    }
+    return "no UndeclaredAccessError";
+  };
+  const std::string serial = error_of(serial_config());
+  const std::string cluster = error_of(cluster_config(2, /*spares=*/0));
+  EXPECT_NE(serial, "no UndeclaredAccessError");
+  EXPECT_EQ(cluster.substr(0, serial.size()), serial);
+}
+
+// A Retire names a task the sending worker does not run: an honest worker
+// never sends one, so the coordinator aborts the run with ProtocolError.
+TEST(ClusterEngine, RetireForATaskTheWorkerDoesNotRunIsProtocolError) {
+  Runtime rt(cluster_config(2, /*spares=*/0));
+  auto x = rt.alloc<double>(1, "x");
+  EXPECT_THROW(rt.run([&](TaskContext& ctx) {
+                 cluster::spawn(ctx, kForgeRetire, WireWriter{},
+                                [&](AccessDecl& d) { d.rd(x); });
+               }),
+               ProtocolError);
 }
 
 }  // namespace

@@ -276,7 +276,8 @@ std::string hex(const std::vector<std::byte>& bytes) {
 }
 
 // One instance of each of the 17 message types, packed and compared with
-// its wire layout as hex.  The round-trip tests above pass for any encoder
+// its wire layout as hex, plus a whole Retire frame (a WithCont payload
+// under frame type 15).  The round-trip tests above pass for any encoder
 // and decoder that change together; a peer built from another commit still
 // expects these bytes.
 TEST(ClusterMessages, GoldenBytes) {
@@ -342,7 +343,12 @@ TEST(ClusterMessages, GoldenBytes) {
       {"ObjData", pack(ObjDataMsg{55, bytes_of({4, 5, 6})}),
        "370000000000000003000000040506"},
       {"Shutdown", pack(ShutdownMsg{}), ""},
+      {"Retire frame",
+       encode_frame(FrameType::kRetire, pack(WithContMsg{77, {retire}})),
+       "314c434a010f00001e0000004d0000000000000001000000040000000000000000"
+       "000201020000000506"},
   };
+  EXPECT_EQ(kMaxFrameType, 15);
   for (const auto& c : cases) EXPECT_EQ(hex(c.bytes), c.want) << c.name;
 }
 

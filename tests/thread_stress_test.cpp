@@ -1,7 +1,8 @@
 // ThreadEngine-specific concurrency tests: the sharded buffer table, the
 // determinism contract under real parallelism (results must equal the
-// SerialEngine's bit-for-bit), the throttle deadlock-escape, and tasks that
-// block parking their fibers instead of their threads.
+// SerialEngine's bit-for-bit), the throttle deadlock-escape, tasks that
+// block parking their fibers instead of their threads, and tasks that wait
+// in their creator's batch before they are linked.
 //
 // The scheduling tests are built so the interesting path is *forced*, not
 // raced into: the throttle test constructs a graph whose backlog cannot
@@ -14,10 +15,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "jade/core/runtime.hpp"
+#include "bounded_wait.hpp"
 #include "jade/engine/buffer_table.hpp"
 #include "thread_count.hpp"
 
@@ -201,6 +207,246 @@ TEST(ThreadStress, TokenWaitersNeverAddThreads) {
   EXPECT_EQ(rt.get(acc)[0], static_cast<std::uint64_t>(kTasks));
   EXPECT_LE(peak, before + 2);
   EXPECT_GE(rt.stats().fiber_parks, 1u);
+}
+
+// --- batched linking ---------------------------------------------------------
+//
+// ThreadEngine keeps the tasks a body creates in its thread's batch while
+// every thread is busy and a task is ready, and links them later.  These
+// tests force that state on a one-worker pool, where it is deterministic:
+// the worker is kept in a task until the test lets it go, with one ready
+// task queued behind it, so the next tasks created wait in a batch.  Each
+// program also runs on SerialEngine (`pinned` false: nothing waits), and
+// the two runs must agree.
+
+RuntimeConfig one_worker(EngineKind kind) {
+  RuntimeConfig cfg;
+  cfg.engine = kind;
+  cfg.threads = 1;
+  return cfg;
+}
+
+void yield_until(const std::atomic<bool>& flag) {
+  while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
+}
+
+/// Keeps ThreadEngine's only worker in a task until release(), with one
+/// ready task queued behind it: until then, the tasks the root creates wait
+/// in the root's batch.  The flags are shared with the task, which may
+/// still be running when the root's body (and this object) has ended.
+class PinnedWorker {
+ public:
+  PinnedWorker(TaskContext& ctx, bool pinned) {
+    auto started = std::make_shared<std::atomic<bool>>(false);
+    ctx.withonly([](AccessDecl&) {},
+                 [started, released = released_, pinned](TaskContext&) {
+                   started->store(true, std::memory_order_release);
+                   if (pinned) yield_until(*released);
+                 });
+    if (pinned) yield_until(*started);
+    ctx.withonly([](AccessDecl&) {}, [](TaskContext&) {});
+  }
+  void release() { released_->store(true, std::memory_order_release); }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> released_ =
+      std::make_shared<std::atomic<bool>>(false);
+};
+
+/// Runs `body` as a task declaring `spec` on ThreadEngine's only worker,
+/// with one ready task queued behind it once it has started, so the tasks
+/// the body creates wait in the worker's batch.  `queue_first` runs in the
+/// root after the body has started, before the ready task is created.  The
+/// root then waits, outside the engine, until the body has finished.
+void run_creator(TaskContext& ctx, bool pinned, const TaskContext::SpecFn& spec,
+                 std::function<void(TaskContext&)> body,
+                 const std::function<void()>& queue_first = [] {}) {
+  auto started = std::make_shared<std::atomic<bool>>(false);
+  auto go = std::make_shared<std::atomic<bool>>(false);
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  ctx.withonly(spec, [=](TaskContext& t) {
+    started->store(true, std::memory_order_release);
+    if (pinned) yield_until(*go);
+    struct Finish {
+      std::atomic<bool>& flag;
+      ~Finish() { flag.store(true, std::memory_order_release); }
+    } finish{*finished};
+    body(t);
+  });
+  if (pinned) yield_until(*started);
+  queue_first();
+  ctx.withonly([](AccessDecl&) {}, [](TaskContext&) {});
+  go->store(true, std::memory_order_release);
+  if (pinned) yield_until(*finished);
+}
+
+// The root's held task can be linked only by another thread: the root
+// waits for it outside the engine, so it never makes the engine call that
+// would link its batch.  The worker, once it has run out of work and
+// finished its spin, must link the batch before it parks.
+TEST(BatchedLinking, HeldTaskOnlyAnotherThreadCanLinkStillRuns) {
+  const auto run = [](EngineKind kind) {
+    Runtime rt(one_worker(kind));
+    auto out = rt.alloc<std::uint64_t>(1, "out");
+    std::atomic<bool> ran{false};
+    rt.run([&](TaskContext& ctx) {
+      PinnedWorker pin(ctx, kind == EngineKind::kThread);
+      ctx.withonly([&](AccessDecl& d) { d.wr(out); },
+                   [&, out](TaskContext& t) {
+                     t.write(out)[0] = 7;
+                     ran.store(true, std::memory_order_release);
+                   });
+      pin.release();
+      yield_until(ran);
+    });
+    return rt.get(out)[0];
+  };
+  run_bounded("held task linked by another thread", [&] {
+    EXPECT_EQ(run(EngineKind::kThread), run(EngineKind::kSerial));
+  });
+}
+
+// The creator's accessor follows a writer child still in its batch.  The
+// lock-free accessor path (Serializer::granted) would let the read through,
+// so the accessor must link the batch first and wait for the child.
+TEST(BatchedLinking, AccessorAfterHeldWriterReadsItsWrite) {
+  const auto run = [](EngineKind kind) {
+    Runtime rt(one_worker(kind));
+    auto x = rt.alloc<std::uint64_t>(1, "x");
+    auto y = rt.alloc<std::uint64_t>(1, "y");
+    rt.run([&](TaskContext& ctx) {
+      run_creator(
+          ctx, kind == EngineKind::kThread,
+          [&](AccessDecl& d) {
+            d.rd_wr(x);
+            d.wr(y);
+          },
+          [x, y](TaskContext& t) {
+            t.withonly([&](AccessDecl& d) { d.wr(x); },
+                       [x](TaskContext& c) { c.write(x)[0] = 42; });
+            t.write(y)[0] = t.read(x)[0];
+          });
+    });
+    return rt.get(y)[0];
+  };
+  run_bounded("accessor after a held writer", [&] {
+    EXPECT_EQ(run(EngineKind::kSerial), 42u);
+    EXPECT_EQ(run(EngineKind::kThread), 42u);
+  });
+}
+
+// The creator retires its right on x while a writer child of x is still in
+// its batch; a later sibling reading x is already linked behind the
+// creator.  The with-cont must link the child first, so that it keeps its
+// place ahead of the sibling.
+TEST(BatchedLinking, WithContAfterHeldChildKeepsItAhead) {
+  const auto run = [](EngineKind kind) {
+    Runtime rt(one_worker(kind));
+    auto x = rt.alloc<std::uint64_t>(1, "x");
+    auto z = rt.alloc<std::uint64_t>(1, "z");
+    rt.run([&](TaskContext& ctx) {
+      run_creator(
+          ctx, kind == EngineKind::kThread,
+          [&](AccessDecl& d) { d.rd_wr(x); },
+          [x](TaskContext& t) {
+            t.withonly([&](AccessDecl& d) { d.wr(x); },
+                       [x](TaskContext& c) { c.write(x)[0] = 42; });
+            t.with_cont([&](AccessDecl& d) {
+              d.no_rd(x);
+              d.no_wr(x);
+            });
+          },
+          [&] {
+            ctx.withonly(
+                [&](AccessDecl& d) {
+                  d.rd(x);
+                  d.wr(z);
+                },
+                [x, z](TaskContext& t) { t.write(z)[0] = t.read(x)[0]; });
+          });
+    });
+    return rt.get(z)[0];
+  };
+  run_bounded("with-cont after a held child", [&] {
+    EXPECT_EQ(run(EngineKind::kSerial), 42u);
+    EXPECT_EQ(run(EngineKind::kThread), 42u);
+  });
+}
+
+// A full batch links at its last task; one more task starts a new batch,
+// linked when the root's body returns.  Each task of the chain reads the
+// previous one's result, so any task linked out of creation order changes
+// the final value.
+TEST(BatchedLinking, FullBatchAndOneMoreLinkInCreationOrder) {
+  constexpr int kBatch = 64;  // ThreadEngine::kBatchSize
+  const auto run = [](EngineKind kind, int tasks) {
+    Runtime rt(one_worker(kind));
+    auto x = rt.alloc<std::uint64_t>(1, "x");
+    rt.run([&](TaskContext& ctx) {
+      PinnedWorker pin(ctx, kind == EngineKind::kThread);
+      for (int i = 0; i < tasks; ++i)
+        ctx.withonly([&](AccessDecl& d) { d.rd_wr(x); },
+                     [x, i](TaskContext& t) {
+                       auto v = t.read_write(x);
+                       v[0] = v[0] * 3 + static_cast<std::uint64_t>(i);
+                     });
+      pin.release();
+    });
+    return rt.get(x)[0];
+  };
+  run_bounded("full batch and one more", [&] {
+    for (const int tasks : {kBatch, kBatch + 1})
+      EXPECT_EQ(run(EngineKind::kThread, tasks),
+                run(EngineKind::kSerial, tasks))
+          << tasks << " tasks";
+  });
+}
+
+// A body that throws while it holds a batch drops the batch: run() raises
+// the body's error, as SerialEngine does, and nothing waits for the
+// dropped tasks.  Both the root's body and a task's body are checked.
+TEST(BatchedLinking, BodyThatThrowsWithAHeldBatchFailsTheRun) {
+  const auto root_throws = [](EngineKind kind) {
+    Runtime rt(one_worker(kind));
+    auto out = rt.alloc<std::uint64_t>(1, "out");
+    rt.run([&](TaskContext& ctx) {
+      PinnedWorker pin(ctx, kind == EngineKind::kThread);
+      ctx.withonly([&](AccessDecl& d) { d.wr(out); },
+                   [out](TaskContext& t) { t.write(out)[0] = 1; });
+      pin.release();
+      throw std::runtime_error("root threw holding a batch");
+    });
+  };
+  const auto task_throws = [](EngineKind kind) {
+    Runtime rt(one_worker(kind));
+    auto out = rt.alloc<std::uint64_t>(1, "out");
+    rt.run([&](TaskContext& ctx) {
+      run_creator(ctx, kind == EngineKind::kThread,
+                  [&](AccessDecl& d) { d.wr(out); },
+                  [out](TaskContext& t) {
+                    t.withonly([&](AccessDecl& d) { d.wr(out); },
+                               [out](TaskContext& c) { c.write(out)[0] = 1; });
+                    throw std::runtime_error("task threw holding a batch");
+                  });
+    });
+  };
+  const auto error_of = [](const std::function<void(EngineKind)>& program,
+                           EngineKind kind) -> std::string {
+    try {
+      program(kind);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::function<void(EngineKind)> programs[] = {root_throws, task_throws};
+  run_bounded("body that throws holding a batch", [&] {
+    for (const auto& program : programs) {
+      const std::string serial = error_of(program, EngineKind::kSerial);
+      EXPECT_NE(serial, "no error");
+      EXPECT_EQ(error_of(program, EngineKind::kThread), serial);
+    }
+  });
 }
 
 }  // namespace
