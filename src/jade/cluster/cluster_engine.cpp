@@ -36,12 +36,11 @@ std::exception_ptr capture_error(ErrorCode code, const std::string& what) {
 ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
                              bool enforce_hierarchy,
                              std::shared_ptr<const model::Planner> planner)
-    : options_(options),
+    : Engine(enforce_hierarchy, sched.throttle),
+      options_(options),
       sched_(sched),
       planner_(planner != nullptr ? std::move(planner)
                                   : model::default_planner()),
-      serializer_(this, enforce_hierarchy),
-      throttle_(sched.throttle),
       epoch_(std::chrono::steady_clock::now()) {
   if (options_.workers < 1)
     throw ConfigError("cluster workers must be at least 1");
@@ -51,8 +50,6 @@ ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
     throw ConfigError("cluster heartbeat_interval must be positive");
   if (options_.miss_threshold < 1)
     throw ConfigError("cluster miss_threshold must be at least 1");
-  serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return object_info(obj).tenant; });
   // A worker can die with coordinator frames still queued toward it.
   ::signal(SIGPIPE, SIG_IGN);
 }
@@ -213,19 +210,15 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
   double run_start = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    serializer_.reset();
+    begin_run();
     ready_.clear();
     unblocked_.clear();
     recs_.clear();
     pending_.clear();
-    tokens_ = CommuteTokenTable{};
-    throttle_.reset_counters();
     aborting_ = false;
     first_error_ = nullptr;
     root_done_ = false;
     root_unblocked_ = false;
-    root_token_ready_ = false;
-    stats_ = RuntimeStats{};
     stats_.machine_busy_seconds.assign(
         static_cast<std::size_t>(options_.workers), 0.0);
     dispatches_ = payload_bytes_shipped_ = writeback_bytes_ = 0;
@@ -244,7 +237,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
       TaskContext ctx(this, serializer_.root());
       root_body(ctx);
       std::lock_guard<std::mutex> lock(mu_);
-      release_tokens_locked(serializer_.root());
+      commute_.release_all(serializer_.root(), token_handoff());
       if (!aborting_) {
         serializer_.complete_task(serializer_.root());
         drain_unblocked_locked();
@@ -266,8 +259,6 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.finish_time = wall_now() - run_start;
-    stats_.tasks_created = serializer_.tasks_created();
-    throttle_.fold_into(stats_);
     stats_.heartbeats_sent = heartbeats_;
     // Wire accounting: frames and bytes that actually crossed the sockets,
     // both directions.
@@ -277,7 +268,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
       stats_.bytes_sent += slot.channel->tx_bytes() + slot.channel->rx_bytes();
     }
     stats_.payload_bytes = payload_bytes_shipped_ + writeback_bytes_;
-    publish_runtime_stats();
+    end_run();
     metrics_.counter("cluster.dispatches").set(dispatches_);
     metrics_.counter("cluster.payload_bytes_shipped")
         .set(payload_bytes_shipped_);
@@ -516,17 +507,13 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg,
   // 1. Writebacks land before anything the retire might enable can read.
   for (const WithContItem& item : msg.items)
     if (item.has_payload)
-      apply_writeback_locked(item.req.obj, item.payload, slot.machine);
+      apply_writeback_locked(task, item.req.obj, item.payload, slot.machine);
 
   // 2. Retired commute rights return their tokens (possibly handing them
   //    to the oldest waiter) before the serializer sees the removal.
-  for (const WithContItem& item : msg.items) {
-    if (item.req.remove & access::kCommute) {
-      TaskNode* next = nullptr;
-      if (tokens_.release(item.req.obj, task, &next) && next != nullptr)
-        grant_token_locked(next);
-    }
-  }
+  for (const WithContItem& item : msg.items)
+    if (item.req.remove & access::kCommute)
+      commute_.release_to(item.req.obj, task, token_handoff());
 
   // 3. Spec update with the substantive requests; zero-bit items are pure
   //    payload flushes (the pre-spawn flush) and must not reach update_spec.
@@ -619,8 +606,8 @@ void ClusterEngine::handle_acquire_locked(int s, const AcquireMsg& msg) {
 
 void ClusterEngine::continue_acquire_locked(TaskNode* task, PendingRpc& rpc) {
   if (rpc.mode & access::kCommute) {
-    if (!tokens_.try_acquire(rpc.obj, task)) {
-      tokens_.enqueue_waiter(rpc.obj, task);
+    if (!commute_.try_acquire(rpc.obj, task)) {
+      commute_.enqueue_waiter(rpc.obj, task);
       rpc.stage = PendingRpc::Stage::kToken;
       pending_[task] = rpc;
       return;
@@ -662,7 +649,7 @@ void ClusterEngine::handle_done_locked(int s, const DoneMsg& msg) {
     // The serializer's state is already off the success path, so the
     // writebacks are dropped.
     forget_unsaved_writes_locked(task, slot.machine);
-    release_tokens_locked(task);
+    commute_.release_all(task, token_handoff());
     root_cv_.notify_all();
     return;
   }
@@ -670,10 +657,10 @@ void ClusterEngine::handle_done_locked(int s, const DoneMsg& msg) {
   // ships the canonical bytes, which must already include this task's
   // updates or the next commuter starts from a stale value.
   for (const DoneMsg::Write& wbk : msg.writes)
-    apply_writeback_locked(wbk.obj, wbk.payload, slot.machine);
+    apply_writeback_locked(task, wbk.obj, wbk.payload, slot.machine);
   task->charged_work = msg.charged;
   stats_.total_charged_work += msg.charged;
-  release_tokens_locked(task);
+  commute_.release_all(task, token_handoff());
   finish_task_locked(task);
 }
 
@@ -685,7 +672,7 @@ void ClusterEngine::handle_task_error_locked(int s, const TaskErrorMsg& msg) {
                         std::to_string(slot.machine));
   slot.running = nullptr;
   forget_unsaved_writes_locked(task, slot.machine);
-  release_tokens_locked(task);
+  commute_.release_all(task, token_handoff());
   abort_run_locked(capture_error(
       msg.code, msg.what + " (in task '" + task->name() + "')"));
 }
@@ -720,22 +707,8 @@ void ClusterEngine::drain_unblocked_locked() {
   }
 }
 
-void ClusterEngine::release_tokens_locked(TaskNode* task) {
-  // held() returns a reference into the table; copy before releasing.
-  const std::vector<ObjectId> held = tokens_.held(task);
-  for (ObjectId obj : held) {
-    TaskNode* next = nullptr;
-    if (tokens_.release(obj, task, &next) && next != nullptr)
-      grant_token_locked(next);
-  }
-}
-
 void ClusterEngine::grant_token_locked(TaskNode* next) {
-  if (next == serializer_.root()) {
-    root_token_ready_ = true;
-    root_cv_.notify_all();
-    return;
-  }
+  // Never the root: its accessor finds the token free (acquire_bytes).
   auto it = pending_.find(next);
   if (it == pending_.end()) return;
   JADE_ASSERT(it->second.stage == PendingRpc::Stage::kToken);
@@ -893,11 +866,17 @@ ClusterEngine::ObjectData& ClusterEngine::object_locked(ObjectId obj) {
   return data_[obj - 1];
 }
 
-void ClusterEngine::apply_writeback_locked(ObjectId obj,
+void ClusterEngine::apply_writeback_locked(TaskNode* task, ObjectId obj,
                                            std::span<const std::byte> data,
                                            MachineId from) {
   if (!known_locked(obj))
     throw ProtocolError("writeback for unknown object " + std::to_string(obj));
+  // An honest worker dirties its copy only under a write or commute right.
+  const DeclRecord* rec = task->find_record(obj);
+  if (rec == nullptr ||
+      (rec->immediate & (access::kWrite | access::kCommute)) == 0)
+    throw ProtocolError("writeback without a write right on object " +
+                        std::to_string(obj));
   ObjectData& d = data_[obj - 1];
   if (data.size() != d.bytes.size())
     throw ProtocolError("writeback size mismatch on object " +
@@ -942,7 +921,7 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
                   "coordinator-side spawn from a non-root task");
   if (throttle_.enabled() &&
       throttle_.should_throttle(serializer_.backlog())) {
-    throttle_.note_suspension();
+    ++stats_.throttle_suspensions;
     root_cv_.wait(lock, [&] {
       return throttle_.backlog_drained(serializer_.backlog()) || aborting_;
     });
@@ -958,13 +937,9 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
 void ClusterEngine::with_cont(TaskNode* task,
                               const std::vector<AccessRequest>& requests) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (const AccessRequest& r : requests) {
-    if (r.remove & access::kCommute) {
-      TaskNode* next = nullptr;
-      if (tokens_.release(r.obj, task, &next) && next != nullptr)
-        grant_token_locked(next);
-    }
-  }
+  for (const AccessRequest& r : requests)
+    if (r.remove & access::kCommute)
+      commute_.release_to(r.obj, task, token_handoff());
   const bool must_block = serializer_.update_spec(task, requests);
   drain_unblocked_locked();
   pump_locked();
@@ -989,7 +964,7 @@ std::byte* ClusterEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   if (mode & access::kCommute) {
     // No conflicting records exist (or acquire would have thrown), so no
     // task can hold the token.
-    const bool got = tokens_.try_acquire(obj, task);
+    const bool got = commute_.try_acquire(obj, task);
     JADE_ASSERT_MSG(got, "commute token held with no conflicting records");
   }
   ObjectData& d = object_locked(obj);
@@ -1004,10 +979,6 @@ void ClusterEngine::charge(TaskNode* task, double units) {
   std::lock_guard<std::mutex> lock(mu_);
   task->charged_work += units;
   stats_.total_charged_work += units;
-}
-
-MachineId ClusterEngine::machine_of(TaskNode* task) const {
-  return task->assigned_machine >= 0 ? task->assigned_machine : 0;
 }
 
 // --- failure handling -------------------------------------------------------
@@ -1033,8 +1004,8 @@ void ClusterEngine::handle_worker_death_locked(int s) {
     ++stats_.tasks_killed;
     stats_.wasted_charged_work += victim->charged_work;
     pending_.erase(victim);
-    tokens_.remove_waiter(victim);
-    release_tokens_locked(victim);
+    commute_.remove_waiter(victim);
+    commute_.release_all(victim, token_handoff());
     const auto rec_it = recs_.find(victim);
     const bool restartable =
         rec_it != recs_.end() && rec_it->second.restartable;
@@ -1105,7 +1076,7 @@ void ClusterEngine::abort_run_locked(std::exception_ptr error) {
     if (s < 0) continue;
     refuse_locked(*slots_[static_cast<std::size_t>(s)].channel, rpc.kind, task,
                   rpc.obj, UnrecoverableError("run aborted"));
-    tokens_.remove_waiter(task);
+    commute_.remove_waiter(task);
   }
   pending_.clear();
   root_cv_.notify_all();

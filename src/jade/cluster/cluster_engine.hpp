@@ -41,14 +41,11 @@
 #include "jade/engine/engine.hpp"
 #include "jade/ft/failure_detector.hpp"
 #include "jade/model/planner.hpp"
-#include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 
 namespace jade::cluster {
 
-class ClusterEngine : public Engine,
-                      public RegisteredSpawner,
-                      private SerializerListener {
+class ClusterEngine : public Engine, public RegisteredSpawner {
  public:
   explicit ClusterEngine(Options options, SchedPolicy sched = {},
                          bool enforce_hierarchy = true,
@@ -70,7 +67,6 @@ class ClusterEngine : public Engine,
                            std::uint8_t mode) override;
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return options_.workers; }
-  MachineId machine_of(TaskNode* task) const override;
 
   // --- RegisteredSpawner ---------------------------------------------------
   void spawn_registered(TaskNode* parent,
@@ -172,8 +168,14 @@ class ClusterEngine : public Engine,
   void dispatch_locked(TaskNode* task, int slot);
   void finish_task_locked(TaskNode* task);
   void drain_unblocked_locked();
-  void release_tokens_locked(TaskNode* task);
+  /// A commute token passed to `next`, a worker task parked on it: grants
+  /// its acquire.
   void grant_token_locked(TaskNode* next);
+  /// grant_token_locked as the hand-off of CommuteTokenTable::release_to
+  /// and release_all.
+  auto token_handoff() {
+    return [this](TaskNode* next) { grant_token_locked(next); };
+  }
 
   // --- RPC continuation (mu_ held) -----------------------------------------
   void continue_acquire_locked(TaskNode* task, PendingRpc& rpc);
@@ -193,10 +195,12 @@ class ClusterEngine : public Engine,
   bool known_locked(ObjectId obj) const;
   /// `obj`'s entry; asserts that the coordinator allocated it.
   ObjectData& object_locked(ObjectId obj);
-  /// Applies a worker's writeback payload to the canonical buffer, bumps
-  /// the data version, and marks every other worker's copy stale.
-  void apply_writeback_locked(ObjectId obj, std::span<const std::byte> data,
-                              MachineId from);
+  /// Applies `task`'s writeback payload from worker `from` to the canonical
+  /// buffer, bumps the data version, and marks every other worker's copy
+  /// stale.  ProtocolError unless `task` holds an immediate write or
+  /// commute right on `obj` and the payload has its size.
+  void apply_writeback_locked(TaskNode* task, ObjectId obj,
+                              std::span<const std::byte> data, MachineId from);
   /// A task on `w` ended without its writebacks applied (it failed, or the
   /// run is aborting): `w`'s copies of the objects it was granted write on
   /// may hold writes no version has, so they stop counting as current.
@@ -227,9 +231,6 @@ class ClusterEngine : public Engine,
   /// Task-for-machine selection routes through the policy seam
   /// (docs/MODEL.md); defaults to the shared HeuristicPlanner.
   std::shared_ptr<const model::Planner> planner_;
-  Serializer serializer_;
-  CommuteTokenTable tokens_;
-  ThrottleGate throttle_;
   std::unique_ptr<FailureDetector> detector_;
 
   // --- process state -------------------------------------------------------
@@ -248,7 +249,6 @@ class ClusterEngine : public Engine,
   std::vector<ObjectData> data_;  ///< indexed by ObjectId - 1
   bool root_done_ = false;
   bool root_unblocked_ = false;
-  bool root_token_ready_ = false;
   bool aborting_ = false;
   std::exception_ptr first_error_;
 

@@ -25,11 +25,12 @@ namespace {
 /// the coordinator, and acquire and with_cont wait for its ack — except a
 /// with_cont that only retires held rights, which can neither block nor
 /// fail and travels one way.  Interleaved coordinator frames (object-fetch
-/// probes) are served while waiting for an ack.
+/// probes) are served while waiting for an ack.  The serializer lives in
+/// the coordinator, so this engine's stays empty.
 class WorkerEngine : public Engine, public RegisteredSpawner {
  public:
   WorkerEngine(Channel& ch, MachineId machine, int machines)
-      : ch_(ch), machine_(machine), machines_(machines) {}
+      : Engine(true, {}), ch_(ch), machine_(machine), machines_(machines) {}
 
   // --- per-object execution state -----------------------------------------
   struct ObjectState {
@@ -285,7 +286,6 @@ class WorkerEngine : public Engine, public RegisteredSpawner {
 
   void charge(TaskNode*, double units) override { charged_ += units; }
   int machine_count() const override { return machines_; }
-  MachineId machine_of(TaskNode*) const override { return machine_; }
 
  private:
   WithContAckMsg await_with_cont_ack() {

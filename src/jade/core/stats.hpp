@@ -2,8 +2,9 @@
 //
 // Lives in core/ (not engine/) because the runtime services below the
 // engines — the coherence protocol in store/, the recovery coordinator in
-// ft/ — maintain their counters directly; the engines own the struct
-// instance and publish it into the metrics registry at the end of run().
+// ft/, the speculation executor in sched/ — maintain their counters
+// directly; Engine owns the struct instance and publishes it into the
+// metrics registry at the end of run().
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,7 @@ namespace jade {
 
 /// Counters every engine maintains (those that apply to it).
 struct RuntimeStats {
-  std::uint64_t tasks_created = 0;
-  std::uint64_t tasks_inlined = 0;   ///< executed in the creator (throttling)
+  std::uint64_t tasks_created = 0;   ///< tasks the serializer linked
   std::uint64_t tasks_migrated = 0;  ///< executed off the creating machine
   std::uint64_t throttle_suspensions = 0;
   std::uint64_t throttle_giveups = 0;  ///< creator resumed to avoid deadlock

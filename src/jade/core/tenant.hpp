@@ -91,4 +91,9 @@ struct TenantCtl {
   std::exception_ptr failure_;
 };
 
+/// True when `ctl` names a cancelled tenant (false for a host task's null).
+inline bool cancelled(const TenantCtl* ctl) {
+  return ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed);
+}
+
 }  // namespace jade

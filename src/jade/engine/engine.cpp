@@ -1,10 +1,16 @@
-// Engine is an interface; the object space and shared helpers live here.
+// Engine is an interface; the object space, the task space and shared
+// helpers live here.
 #include "jade/engine/engine.hpp"
 
-#include "jade/core/tenant.hpp"
 #include "jade/support/error.hpp"
 
 namespace jade {
+
+Engine::Engine(bool enforce_hierarchy, ThrottleConfig throttle)
+    : serializer_(this, enforce_hierarchy), throttle_(throttle) {
+  serializer_.set_tenant_oracle(
+      [this](ObjectId obj) { return object_info(obj).tenant; });
+}
 
 // --- objects ---------------------------------------------------------------
 
@@ -72,7 +78,7 @@ void Engine::run_body(TaskNode* task) {
     task->body(ctx);
     return;
   }
-  if (ctl->cancelled.load(std::memory_order_relaxed)) {
+  if (cancelled(ctl)) {
     // Forced teardown, dispatch edge: the body never runs.
     ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -113,11 +119,27 @@ void Engine::enable_tracing(const ObsConfig& config) {
   tracer_.attach(recorder_.get(), [this] { return trace_now(); });
 }
 
-void Engine::publish_runtime_stats() {
+// --- the task space --------------------------------------------------------
+
+void Engine::on_task_ready(TaskNode* /*task*/) {
+  throw InternalError("engine received a ready notification");
+}
+
+void Engine::on_task_unblocked(TaskNode* /*task*/) {
+  throw InternalError("engine received an unblock notification");
+}
+
+void Engine::begin_run() {
+  serializer_.reset();
+  commute_ = CommuteTokenTable{};
+  stats_ = RuntimeStats{};
+}
+
+void Engine::end_run() {
+  stats_.tasks_created = serializer_.tasks_created();
   const RuntimeStats& s = stats_;
   obs::MetricsRegistry& m = metrics_;
   m.counter("engine.tasks_created").set(s.tasks_created);
-  m.counter("engine.tasks_inlined").set(s.tasks_inlined);
   m.counter("engine.tasks_migrated").set(s.tasks_migrated);
   m.counter("engine.throttle_suspensions").set(s.throttle_suspensions);
   m.counter("engine.throttle_giveups").set(s.throttle_giveups);

@@ -27,8 +27,11 @@
 #include "jade/core/queues.hpp"
 #include "jade/core/stats.hpp"
 #include "jade/core/task.hpp"
+#include "jade/core/tenant.hpp"
 #include "jade/obs/metrics.hpp"
 #include "jade/obs/tracer.hpp"
+#include "jade/sched/governor.hpp"
+#include "jade/sched/speculation.hpp"
 #include "jade/support/time.hpp"
 
 namespace jade {
@@ -47,9 +50,9 @@ struct ObsConfig {
 // the engines (store/coherence, ft/recovery_coordinator) can report into it
 // without depending on this header.
 
-class Engine {
+class Engine : private SerializerListener {
  public:
-  virtual ~Engine() = default;
+  ~Engine() override = default;
 
   // --- objects -------------------------------------------------------------
   // One object space for every engine: the id table and every check on a
@@ -110,9 +113,12 @@ class Engine {
 
   virtual int machine_count() const = 0;
 
-  /// Machine `task` is currently executing on (0 where machines don't
-  /// exist; the executing worker's id in ThreadEngine).
-  virtual MachineId machine_of(TaskNode* task) const = 0;
+  /// Machine `task` is executing on, or last ran on: the machine the engine
+  /// assigned it (the executing worker's id in ThreadEngine), 0 before it
+  /// has one and where machines don't exist.
+  virtual MachineId machine_of(TaskNode* task) const {
+    return task->assigned_machine >= 0 ? task->assigned_machine : 0;
+  }
 
   /// Pokes the engine from an outside thread after external state it waits
   /// on changed (e.g. the server cancelled a tenant whose tasks are parked
@@ -135,6 +141,11 @@ class Engine {
   const obs::TraceRecorder* trace() const { return recorder_.get(); }
 
  protected:
+  /// Builds the task space: the serializer (this engine is its listener,
+  /// the object table its tenant oracle), the commute tokens and the
+  /// throttle gate.
+  Engine(bool enforce_hierarchy, ThrottleConfig throttle);
+
   // --- byte storage: one implementation per engine -------------------------
   // Called after the argument checks, without the table lock held.  Racing
   // allocations may create ids out of order.
@@ -156,10 +167,39 @@ class Engine {
   /// the real engines.  Only consulted while tracing is enabled.
   virtual SimTime trace_now() const { return 0; }
 
-  /// Publishes every RuntimeStats field into `metrics_` under the canonical
-  /// dotted names (docs/OBSERVABILITY.md), giving benches and tests one
-  /// uniform registry view.  Engines call this at the end of run().
-  void publish_runtime_stats();
+  // --- the task space ------------------------------------------------------
+
+  /// Serializer notifications; an engine overrides those it can receive.
+  /// By default each raises InternalError.
+  void on_task_ready(TaskNode* task) override;
+  void on_task_unblocked(TaskNode* task) override;
+
+  /// Starts a run on a fresh graph: resets the serializer, empties the
+  /// token table and zeroes stats_.  Objects and their bytes persist.
+  void begin_run();
+
+  /// Ends a run: takes tasks_created from the serializer and publishes
+  /// every RuntimeStats field into `metrics_` under the canonical dotted
+  /// names (docs/OBSERVABILITY.md), giving benches and tests one uniform
+  /// registry view.
+  void end_run();
+
+  /// The spawn prologue: a speculating creator abandons its attempt
+  /// (SpeculationUnwind), and a cancelled tenant's creator unwinds
+  /// (TenantUnwind) instead of adding work.
+  static void check_spawn(const TaskNode* parent) {
+    if (parent->speculating()) throw SpeculationUnwind{};
+    if (cancelled(parent->tenant())) throw TenantUnwind{};
+  }
+
+  /// A throttle.suspend / .resume / .giveup instant for `creator`, valued
+  /// at the backlog.
+  void trace_throttle(const char* event, TaskNode* creator) {
+    if (tracer_.enabled())
+      tracer_.instant(obs::Subsystem::kEngine, event, creator->id(),
+                      machine_of(creator),
+                      static_cast<double>(serializer_.backlog()));
+  }
 
   /// Runs `task`'s body on behalf of its tenant.  A cancelled tenant's body
   /// is skipped and counted; a TenantUnwind (teardown caught the body at a
@@ -176,6 +216,14 @@ class Engine {
   /// reproduces on the normal re-run.  EngineUnwind propagates.
   bool run_speculative_body(TaskNode* task);
 
+  /// The task space, under the engine's discipline (SerialEngine and
+  /// SimEngine are single-threaded; ThreadEngine and ClusterEngine hold
+  /// their mu_, apart from the serializer calls documented as exempt).
+  Serializer serializer_;
+  /// Commuting-update exclusivity (Section 4.3 extension).
+  CommuteTokenTable commute_;
+  ThrottleGate throttle_;
+  /// Every counter is counted where it happens, for the current run.
   RuntimeStats stats_;
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;

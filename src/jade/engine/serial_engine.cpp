@@ -5,17 +5,13 @@
 namespace jade {
 
 SerialEngine::SerialEngine(bool enforce_hierarchy)
-    : serializer_(this, enforce_hierarchy) {
-  serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return object_info(obj).tenant; });
-}
+    : Engine(enforce_hierarchy, {}) {}
 
 void SerialEngine::run(std::function<void(TaskContext&)> root_body) {
-  // Reset for sequential runs on one reused engine: a fresh graph, fresh
-  // stats, persistent objects/buffers.  Identical state on the first run,
-  // so single-run behavior (and traces) are unchanged.
-  serializer_.reset();
-  stats_ = RuntimeStats{};
+  // A fresh graph and fresh stats for every run on one reused engine;
+  // objects and buffers persist.  Identical state on the first run, so
+  // single-run behavior (and traces) are unchanged.
+  begin_run();
   TaskNode* root = serializer_.root();
   if (tracer_.enabled()) {
     tracer_.instant(obs::Subsystem::kEngine, "task.created", root->id(), 0, 0,
@@ -30,7 +26,7 @@ void SerialEngine::run(std::function<void(TaskContext&)> root_body) {
                    root->charged_work);
   JADE_ASSERT_MSG(serializer_.outstanding() == 0,
                   "serial run left outstanding tasks");
-  publish_runtime_stats();
+  end_run();
 }
 
 void SerialEngine::spawn(TaskNode* parent,
@@ -39,7 +35,6 @@ void SerialEngine::spawn(TaskNode* parent,
                          MachineId /*placement*/, TenantCtl* tenant) {
   TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
                                            std::move(name), tenant);
-  ++stats_.tasks_created;
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(), 0, 0,
                     task->name());
@@ -78,10 +73,6 @@ std::byte* SerialEngine::acquire_bytes(TaskNode* task, ObjectId obj,
 void SerialEngine::charge(TaskNode* task, double units) {
   task->charged_work += units;
   stats_.total_charged_work += units;
-}
-
-void SerialEngine::on_task_unblocked(TaskNode* /*task*/) {
-  throw InternalError("serial engine received an unblock notification");
 }
 
 }  // namespace jade

@@ -19,7 +19,7 @@
 
 namespace jade {
 
-class SerialEngine : public Engine, private SerializerListener {
+class SerialEngine : public Engine {
  public:
   explicit SerialEngine(bool enforce_hierarchy);
 
@@ -34,10 +34,6 @@ class SerialEngine : public Engine, private SerializerListener {
                            std::uint8_t mode) override;
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return 1; }
-  MachineId machine_of(TaskNode*) const override { return 0; }
-
-  /// Exposed for white-box tests.
-  Serializer& serializer() { return serializer_; }
 
  protected:
   void create_storage(const ObjectInfo& info, MachineId) override {
@@ -59,12 +55,10 @@ class SerialEngine : public Engine, private SerializerListener {
 
  private:
   void on_task_ready(TaskNode* /*task*/) override {}
-  void on_task_unblocked(TaskNode* task) override;
 
   void execute(TaskNode* task);
 
   std::unordered_map<ObjectId, std::vector<std::byte>> buffers_;
-  Serializer serializer_;
   mutable std::uint64_t logical_time_ = 0;
 };
 

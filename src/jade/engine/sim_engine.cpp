@@ -230,12 +230,7 @@ void SimEngine::finish_task(TaskNode* task) {
   serializer_.complete_task(task);
   post_serializer();
   // Hand every held commute token on, in acquisition order.
-  const std::vector<ObjectId> held = commute_.held(task);
-  for (ObjectId obj : held) {
-    TaskNode* next = nullptr;
-    commute_.release(obj, task, &next);
-    if (next != nullptr) sim_.resume(st(next).process);
-  }
+  commute_.release_all(task, [this](TaskNode* next) { resume(next); });
   release_context(t);
   maybe_release_throttled();
 }
@@ -257,7 +252,7 @@ void SimEngine::release_context(SimTask& t) {
     // The slot passes directly to a task re-entering after a block.
     TaskNode* next = m.context_waiters.front();
     m.context_waiters.pop_front();
-    sim_.resume(st(next).process);
+    resume(next);
   } else if (!ft_enabled() || ft_->injector().machine_up(t.machine)) {
     // A dead machine's slot never re-enters the free pool: the dispatcher
     // must not place new work there.
@@ -303,7 +298,7 @@ void SimEngine::maybe_release_throttled() {
     // up — the deadlock-freedom escape.  One is enough.
     TaskNode* t = throttled_.front();
     throttled_.pop_front();
-    sim_.resume(st(t).process);
+    resume(t);
     return;
   }
   const bool global_clear =
@@ -315,7 +310,7 @@ void SimEngine::maybe_release_throttled() {
   for (auto it = throttled_.begin(); it != throttled_.end();) {
     TenantCtl* ctl = (*it)->tenant();
     const bool tenant_clear =
-        ctl == nullptr || ctl->cancelled.load(std::memory_order_relaxed) ||
+        ctl == nullptr || cancelled(ctl) ||
         ctl->quota_hi.load(std::memory_order_relaxed) == 0 ||
         throttle_.tenant_drained(*ctl);
     if (!tenant_clear) {
@@ -324,7 +319,7 @@ void SimEngine::maybe_release_throttled() {
     }
     TaskNode* t = *it;
     it = throttled_.erase(it);
-    sim_.resume(st(t).process);
+    resume(t);
   }
 }
 
@@ -335,17 +330,13 @@ void SimEngine::spawn(TaskNode* parent,
                       TaskContext::BodyFn body, std::string name,
                       MachineId placement, TenantCtl* tenant) {
   // A speculative body must not create tasks: creation escapes the
-  // snapshot-isolated attempt.  Abort the speculation; the normal re-run
-  // spawns for real.
-  if (parent->speculating()) throw SpeculationUnwind{};
-  SimTask& pt = st(parent);
-  // A cancelled tenant's creators unwind at the next spawn instead of
+  // snapshot-isolated attempt, so the normal re-run spawns for real.  A
+  // cancelled tenant's creators unwind at the next spawn instead of
   // flooding more work into the backlog; the unwind is caught in
   // task_process, which completes the task normally.
+  check_spawn(parent);
+  SimTask& pt = st(parent);
   TenantCtl* pctl = parent->tenant();
-  if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed)) {
-    throw TenantUnwind{};
-  }
   // Spawning makes the parent unkillable *before* it can park below: a
   // replay of a task that already created a child would create it twice.
   pt.attempt.restartable = false;
@@ -366,7 +357,6 @@ void SimEngine::spawn(TaskNode* parent,
   for (const AccessRequest& req : requests)
     if (req.add_immediate | req.add_deferred) t.objects.push_back(req.obj);
   task->engine_data = &t;
-  ++stats_.tasks_created;
   if (spec_.enabled()) spec_.offer(task);
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
@@ -380,22 +370,16 @@ void SimEngine::spawn(TaskNode* parent,
     // unstarted backlog drains — globally or, for a quota-bearing tenant,
     // until its own live-task window drains.  Skipped when this creator is
     // the only active task — then it is the sole source of progress.
-    throttle_.note_suspension();
+    ++stats_.throttle_suspensions;
     JADE_TRACE("t=" << sim_.now() << " throttle suspends " << parent->name()
                     << " (backlog=" << serializer_.backlog() << ")");
-    tracer_.instant(obs::Subsystem::kEngine, "throttle.suspend", parent->id(),
-                    pt.machine,
-                    static_cast<double>(serializer_.backlog()));
+    trace_throttle("throttle.suspend", parent);
     throttled_.push_back(parent);
     release_context(pt);
     park_inactive(pt, Wait::kThrottle);
     reacquire_context(pt);
-    tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
-                    pt.machine,
-                    static_cast<double>(serializer_.backlog()));
-    if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed)) {
-      throw TenantUnwind{};
-    }
+    trace_throttle("throttle.resume", parent);
+    if (cancelled(pctl)) throw TenantUnwind{};
   }
 }
 
@@ -411,12 +395,10 @@ void SimEngine::with_cont(TaskNode* task,
   post_serializer();
   // no_cm hands the exclusivity token to the next waiting commuter now
   // rather than at completion.
-  for (const AccessRequest& req : requests) {
-    if (!(req.remove & access::kCommute)) continue;
-    TaskNode* next = nullptr;
-    if (!commute_.release(req.obj, task, &next)) continue;
-    if (next != nullptr) sim_.resume(st(next).process);
-  }
+  const auto resume_next = [this](TaskNode* next) { resume(next); };
+  for (const AccessRequest& req : requests)
+    if (req.remove & access::kCommute)
+      commute_.release_to(req.obj, task, resume_next);
   if (must_block) {
     // Release the machine slot while waiting: the tasks we wait on may need
     // it (they precede us in the serial order).
@@ -573,25 +555,22 @@ SimTime SimEngine::fetch_objects(SimTask& t, std::vector<FetchItem> items) {
 // --- run -------------------------------------------------------------------
 
 void SimEngine::run(std::function<void(TaskContext&)> root_body) {
+  // Sequential runs on one reused engine: reset the scheduling state for a
+  // fresh graph.  Objects, the directory and replicas persist; the virtual
+  // clock stays monotonic across runs.  Fault injection schedules its event
+  // sequence against a single run and cannot be replayed.
+  if (ran_ && ft_enabled())
+    throw ConfigError(
+        "a fault-injected SimEngine supports a single run(); construct a "
+        "fresh Runtime per fault experiment");
+  begin_run();
+  stats_.machine_busy_seconds.assign(machines_.size(), 0.0);
   if (ran_) {
-    // Sequential runs on one reused engine: reset the scheduling state for
-    // a fresh graph.  Objects, the directory and replicas persist; the
-    // virtual clock stays monotonic across runs.  Fault injection schedules
-    // its event sequence against a single run and cannot be replayed.
-    if (ft_enabled())
-      throw ConfigError(
-          "a fault-injected SimEngine supports a single run(); construct a "
-          "fresh Runtime per fault experiment");
-    serializer_.reset();
     sim_tasks_.clear();
     ready_.clear();
     to_unblock_.clear();
     throttled_.clear();
-    commute_ = CommuteTokenTable{};
-    throttle_.reset_counters();
     spec_.reset();
-    stats_ = RuntimeStats{};
-    stats_.machine_busy_seconds.assign(machines_.size(), 0.0);
     for (Machine& m : machines_) {
       JADE_ASSERT_MSG(m.context_waiters.empty(),
                       "engine reuse with parked context waiters");
@@ -650,9 +629,7 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
   }
   for (std::size_t m = 0; m < machines_.size(); ++m)
     stats_.machine_busy_seconds[m] = machines_[m].busy_seconds;
-  throttle_.fold_into(stats_);
-  spec_.fold_into(stats_);
-  publish_runtime_stats();
+  end_run();
 }
 
 // --- speculative execution (sched/speculation.hpp does the protocol) --------
@@ -805,7 +782,7 @@ void SimEngine::abort_attempt_execution(TaskNode* task) {
     TaskNode* next = nullptr;
     const bool released = commute_.release(obj, task, &next);
     JADE_ASSERT(released);
-    if (next != nullptr) sim_.resume(st(next).process);
+    if (next != nullptr) resume(next);
   }
   // Rewind the serializer: a started attempt is kRunning (task_started is
   // the first thing a task process does); an assigned-but-unstarted one is

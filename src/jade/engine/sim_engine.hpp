@@ -30,7 +30,7 @@
 //   * ft/recovery_coordinator.hpp — fault plan, failure detection, attempt
 //     kill/rollback, directory surgery, re-queueing;
 //   * sched/governor.hpp   — commute-token exclusivity and creation
-//     throttling, shared with ThreadEngine;
+//     throttling, held by Engine for every engine;
 //   * sched/speculation.hpp — speculative run-ahead, shared with
 //     ThreadEngine.
 #pragma once
@@ -44,7 +44,6 @@
 #include "jade/mach/machine.hpp"
 #include "jade/model/planner.hpp"
 #include "jade/net/network.hpp"
-#include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/sched/speculation.hpp"
 #include "jade/sim/simulation.hpp"
@@ -55,9 +54,7 @@ namespace jade {
 
 class FaultyNetwork;
 
-class SimEngine : public Engine,
-                  private SerializerListener,
-                  private SpeculationHooks {
+class SimEngine : public Engine, private SpeculationHooks {
  public:
   SimEngine(ClusterConfig cluster, SchedPolicy sched, bool enforce_hierarchy,
             FaultConfig fault = {},
@@ -156,6 +153,8 @@ class SimEngine : public Engine,
   void on_task_unblocked(TaskNode* task) override;
 
   SimTask& st(TaskNode* task);
+  /// Resumes `task`'s parked process.
+  void resume(TaskNode* task) { sim_.resume(st(task).process); }
 
   /// Dispatches + delivers queued unblocks; call after every serializer
   /// mutation.
@@ -241,22 +240,13 @@ class SimEngine : public Engine,
   std::shared_ptr<const model::Planner> planner_;
   std::unique_ptr<NetworkModel> network_;
   ObjectDirectory directory_;
-  Serializer serializer_;
   std::vector<Machine> machines_;
 
   std::deque<SimTask> sim_tasks_;          ///< stable storage; engine_data
   std::deque<TaskNode*> ready_;            ///< dispatch queue (FIFO base)
   std::vector<TaskNode*> to_unblock_;      ///< queued unblock notifications
   std::deque<TaskNode*> throttled_;        ///< creators suspended (Fig 7e)
-  /// Commuting-update exclusivity: commuters run in any order but touch the
-  /// object one at a time; the token passes FIFO among waiters.  Shared
-  /// implementation with ThreadEngine (sched/governor.hpp).
-  CommuteTokenTable commute_;
-  /// Task-creation throttling thresholds + counters (shared implementation
-  /// with ThreadEngine); counters fold into stats_ at the end of run().
-  ThrottleGate throttle_;
-  /// Speculative run-ahead (shared implementation with ThreadEngine);
-  /// counters fold into stats_ like throttle_'s.
+  /// Speculative run-ahead (shared implementation with ThreadEngine).
   SpeculationExecutor spec_;
 
   /// Clock + network adapter handed to the runtime services; must outlive

@@ -77,13 +77,11 @@ struct SimEngine::FtHooks final : RecoveryHooks {
     while (!waiters.empty()) {
       TaskNode* next = waiters.front();
       waiters.pop_front();
-      e.sim_.resume(e.st(next).process);
+      e.resume(next);
     }
   }
   void requeue_task(TaskNode* task) override { e.ready_.push_back(task); }
-  void resume_task(TaskNode* task) override {
-    e.sim_.resume(e.st(task).process);
-  }
+  void resume_task(TaskNode* task) override { e.resume(task); }
   void release_throttled() override { e.maybe_release_throttled(); }
   void after_recovery() override {
     e.try_dispatch();
@@ -98,20 +96,17 @@ struct SimEngine::FtHooks final : RecoveryHooks {
 SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
                      bool enforce_hierarchy, FaultConfig fault,
                      std::shared_ptr<const model::Planner> planner)
-    : cluster_(std::move(cluster)),
+    : Engine(enforce_hierarchy, sched.throttle),
+      cluster_(std::move(cluster)),
       sched_(sched),
       planner_(planner != nullptr ? std::move(planner)
                                   : model::default_planner()),
       network_(cluster_.make_network()),
       directory_(cluster_.machine_count()),
-      serializer_(this, enforce_hierarchy),
-      throttle_(sched_.throttle),
-      spec_(sched_.spec, serializer_, *this, tracer_) {
+      spec_(sched_.spec, serializer_, *this, stats_, tracer_) {
   cluster_.validate();
   if (sched_.contexts_per_machine < 1)
     throw ConfigError("contexts_per_machine must be >= 1");
-  serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return object_info(obj).tenant; });
   // With replica reuse on, a dropped-but-current replica is as good as a
   // present one for the locality heuristics.
   directory_.set_reuse_scoring(sched_.comm.reuse_replicas);
@@ -122,7 +117,6 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
     m.free_contexts = sched_.contexts_per_machine;
     machines_.push_back(std::move(m));
   }
-  stats_.machine_busy_seconds.assign(machines_.size(), 0.0);
 
   transport_ = std::make_unique<Transport>(*this);
   std::vector<Endian> endians;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "jade/core/tenant.hpp"
 #include "jade/support/error.hpp"
 #include "jade/support/log.hpp"
 
@@ -13,10 +12,6 @@ namespace {
 /// Thrown inside a blocked task to unwind it when another task has already
 /// failed; never escapes the engine.
 struct EngineAborting : EngineUnwind {};
-
-bool cancelled(const TenantCtl* ctl) {
-  return ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed);
-}
 }  // namespace
 
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
@@ -37,17 +32,12 @@ ThreadEngine::TlsBinding::~TlsBinding() {
 ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
                            bool enforce_hierarchy, SpecConfig spec,
                            std::shared_ptr<const model::Planner> planner)
-    : workers_requested_(workers),
+    : Engine(enforce_hierarchy, throttle),
+      workers_requested_(workers),
       planner_(planner != nullptr ? std::move(planner)
                                   : model::default_planner()),
-      throttle_(throttle),
-      serializer_(this, enforce_hierarchy),
-      spec_(spec, serializer_, *this, tracer_) {
+      spec_(spec, serializer_, *this, stats_, tracer_) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
-  // Ownership oracle for tenant isolation: called from prepare_task, on the
-  // creating thread and without mu_.
-  serializer_.set_tenant_oracle(
-      [this](ObjectId obj) { return object_info(obj).tenant; });
 }
 
 ThreadEngine::~ThreadEngine() {
@@ -288,7 +278,8 @@ void ThreadEngine::root_entry(void* engine) {
   std::lock_guard<std::mutex> lock(self->mu_);
   // The root never passes through execute(): return any commute tokens its
   // body took, or commuting tasks would wait on them forever.
-  self->release_commute_tokens_locked(root);
+  const auto wake = [self](TaskNode* next) { self->wake_locked(next); };
+  self->commute_.release_all(root, wake);
   if (root_failed) {
     self->drop_batch(tls_slot_);
   } else {
@@ -328,31 +319,25 @@ void ThreadEngine::enable_tracing(const ObsConfig& cfg) {
 void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ran_) {
-      // Sequential reuse: the previous run joined its pool and left the
-      // scheduling state quiescent.  Reset it for a fresh graph; objects
-      // and buffers persist (allocate-once semantics).
-      JADE_ASSERT_MSG(workers_.empty(),
-                      "run() re-entered while a previous run is active");
-      serializer_.reset();
-      unblocked_.clear();
-      commute_ = CommuteTokenTable{};
-      throttle_.reset_counters();
-      spec_.reset();
-      first_error_ = nullptr;
-      stats_ = RuntimeStats{};
-      ready_count_.store(0, std::memory_order_seq_cst);
-      batched_.store(0, std::memory_order_seq_cst);
-      {
-        std::lock_guard<std::mutex> idle(idle_mu_);
-        idle_stack_.clear();
-        idle_count_.store(0, std::memory_order_seq_cst);
-      }
-      root_returned_ = false;
-      stop_.store(false, std::memory_order_seq_cst);
-      drain_exit_.store(false, std::memory_order_seq_cst);
+    // A previous run joined its pool and left the scheduling state
+    // quiescent.  Reset it for a fresh graph (a no-op on the first run);
+    // objects and buffers persist (allocate-once semantics).
+    JADE_ASSERT_MSG(workers_.empty(),
+                    "run() re-entered while a previous run is active");
+    begin_run();
+    unblocked_.clear();
+    spec_.reset();
+    first_error_ = nullptr;
+    ready_count_.store(0, std::memory_order_seq_cst);
+    batched_.store(0, std::memory_order_seq_cst);
+    {
+      std::lock_guard<std::mutex> idle(idle_mu_);
+      idle_stack_.clear();
+      idle_count_.store(0, std::memory_order_seq_cst);
     }
-    ran_ = true;
+    root_returned_ = false;
+    stop_.store(false, std::memory_order_seq_cst);
+    drain_exit_.store(false, std::memory_order_seq_cst);
   }
   // Every slot exists before any thread starts; after this no thread is
   // created until the next run().  Each worker maps its first fiber itself.
@@ -417,9 +402,7 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
     metrics_.gauge(prefix + ".max_queue_depth")
         .set(static_cast<double>(depth[m]));
   }
-  throttle_.fold_into(stats_);
-  spec_.fold_into(stats_);
-  publish_runtime_stats();
+  end_run();
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
@@ -471,7 +454,7 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   bool drained = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    release_commute_tokens_locked(task);
+    commute_.release_all(task, [this](TaskNode* next) { wake_locked(next); });
     if (failed) {
       drop_batch(slot);
     } else {
@@ -597,17 +580,6 @@ void ThreadEngine::wait_commute_token(TaskNode* task, ObjectId obj,
   if (cancelled(ctl)) throw TenantUnwind{};
 }
 
-void ThreadEngine::release_commute_token_locked(ObjectId obj, TaskNode* task) {
-  TaskNode* next = nullptr;
-  if (commute_.release(obj, task, &next) && next != nullptr) wake_locked(next);
-}
-
-void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
-  // Copy: release() mutates the held list.
-  const std::vector<ObjectId> held = commute_.held(task);
-  for (ObjectId obj : held) release_commute_token_locked(obj, task);
-}
-
 bool ThreadEngine::throttle_clear(const ThrottleWait& w) const {
   if (cancelled(w.tenant)) return true;  // the creator unwinds instead
   const bool global_clear =
@@ -639,7 +611,6 @@ void ThreadEngine::notify_external() {
 
 void ThreadEngine::link_locked(std::unique_ptr<TaskNode> prepared) {
   TaskNode* task = serializer_.link_task(std::move(prepared));
-  ++stats_.tasks_created;
   if (spec_.enabled() && spec_.offer(task)) {
     // Candidates bypass ready_count_, so run the same register-then-recheck
     // wake protocol by hand: bump the epoch (parking threads re-check it),
@@ -686,13 +657,13 @@ void ThreadEngine::spawn(TaskNode* parent,
                          const std::vector<AccessRequest>& requests,
                          TaskContext::BodyFn body, std::string name,
                          MachineId /*placement*/, TenantCtl* tenant) {
-  // A speculative body cannot create real tasks; abort and re-run normally.
-  if (parent->speculating()) throw SpeculationUnwind{};
-  // The creator's own tenant (not the child's): the dispatcher launching a
-  // program root for tenant T is a host task and is never gated or unwound —
-  // a blocked dispatcher would stall every other tenant.
+  // A speculative body cannot create real tasks (abort and re-run
+  // normally).  The tenant checked is the creator's own, not the child's:
+  // the dispatcher launching a program root for tenant T is a host task and
+  // is never gated or unwound — a blocked dispatcher would stall every
+  // other tenant.
+  check_spawn(parent);
   TenantCtl* pctl = parent->tenant();
-  if (cancelled(pctl)) throw TenantUnwind{};
   // Only the throttle or a tenant quota can park a creator.
   const bool governed = throttle_.enabled() || pctl != nullptr;
   if (governed) reserve_spare_fiber();
@@ -739,10 +710,8 @@ void ThreadEngine::spawn(TaskNode* parent,
   // every other engine thread ends up idle with nothing ready, the backlog
   // can only drain through the creators themselves — give up throttling
   // rather than deadlock.
-  throttle_.note_suspension();
-  tracer_.instant(obs::Subsystem::kEngine, "throttle.suspend", parent->id(),
-                  machine_of(parent),
-                  static_cast<double>(serializer_.backlog()));
+  ++stats_.throttle_suspensions;
+  trace_throttle("throttle.suspend", parent);
   JADE_TRACE("throttle-enter " << parent->name()
              << " backlog=" << serializer_.backlog());
   // Registered before the first check (see execute and
@@ -765,16 +734,12 @@ void ThreadEngine::spawn(TaskNode* parent,
   if (wait.global) backlog_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   if (first_error_) throw EngineAborting{};
   if (give_up) {
-    throttle_.note_giveup();
-    tracer_.instant(obs::Subsystem::kEngine, "throttle.giveup", parent->id(),
-                    machine_of(parent),
-                    static_cast<double>(serializer_.backlog()));
+    ++stats_.throttle_giveups;
+    trace_throttle("throttle.giveup", parent);
     JADE_TRACE("throttle-giveup " << parent->name());
     return;
   }
-  tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
-                  machine_of(parent),
-                  static_cast<double>(serializer_.backlog()));
+  trace_throttle("throttle.resume", parent);
   // The tenant may have been torn down while its creator waited; unwind at
   // this edge rather than running the rest of the body.
   if (cancelled(pctl)) throw TenantUnwind{};
@@ -792,9 +757,10 @@ void ThreadEngine::with_cont(TaskNode* task,
   const bool must_block = serializer_.update_spec(task, requests);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
+  const auto wake = [this](TaskNode* next) { wake_locked(next); };
   for (const AccessRequest& req : requests) {
     if (!(req.remove & access::kCommute)) continue;
-    release_commute_token_locked(req.obj, task);  // no-op unless the holder
+    commute_.release_to(req.obj, task, wake);  // no-op unless the holder
   }
   // Weakened rights may have enabled a speculating successor.
   drain_spec_decides_locked(tls_slot_);

@@ -53,7 +53,6 @@
 #include "jade/engine/buffer_table.hpp"
 #include "jade/engine/engine.hpp"
 #include "jade/model/planner.hpp"
-#include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/sched/speculation.hpp"
 #include "jade/support/fiber.hpp"
@@ -62,9 +61,7 @@
 
 namespace jade {
 
-class ThreadEngine : public Engine,
-                     private SerializerListener,
-                     private SpeculationHooks {
+class ThreadEngine : public Engine, private SpeculationHooks {
  public:
   ThreadEngine(int workers, ThrottleConfig throttle, bool enforce_hierarchy,
                SpecConfig spec = {},
@@ -82,11 +79,6 @@ class ThreadEngine : public Engine,
                            std::uint8_t mode) override;
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return workers_requested_; }
-  /// The worker the task is (or was last) executing on; 0 for the root task
-  /// and for tasks not yet picked up.
-  MachineId machine_of(TaskNode* task) const override {
-    return task->assigned_machine >= 0 ? task->assigned_machine : 0;
-  }
 
   void enable_tracing(const ObsConfig& cfg) override;
 
@@ -277,15 +269,11 @@ class ThreadEngine : public Engine,
   /// with mu_ held.
   void wait_unblocked(TaskNode* task, std::unique_lock<std::mutex>& lock);
   /// Takes `obj`'s commute token for `task`, queueing FIFO behind its holder
-  /// when it is taken (mu_ held).
+  /// when it is taken (mu_ held).  A release hands the token to the oldest
+  /// waiter, which is woken by name.  Tasks taking tokens on several objects
+  /// must do so in a consistent global order (as with any lock).
   void wait_commute_token(TaskNode* task, ObjectId obj,
                           std::unique_lock<std::mutex>& lock);
-  /// Returns `task`'s hold on `obj` and wakes the waiter it passes to.
-  void release_commute_token_locked(ObjectId obj, TaskNode* task);
-  /// Returns every commute token `task` still holds (mu_ held).  Called at
-  /// task completion — including the root's, which never passes through
-  /// execute() but may have taken tokens in its body.
-  void release_commute_tokens_locked(TaskNode* task);
   /// True once a throttled creator may resume creating, or must unwind
   /// because its tenant was cancelled (mu_ held).
   bool throttle_clear(const ThrottleWait& w) const;
@@ -361,18 +349,14 @@ class ThreadEngine : public Engine,
   /// the policy knobs it planned up front plus the structured claim
   /// explanation emitted into traces.  Default: the shared HeuristicPlanner.
   std::shared_ptr<const model::Planner> planner_;
-  /// Water-mark predicates + suspension/give-up counters (shared
-  /// implementation with SimEngine); counters fold into stats_ at the end
-  /// of run().  Mutated only under mu_.
-  ThrottleGate throttle_;
 
   // --- serializer domain: guarded by mu_ -----------------------------------
   // mu_ serializes the Serializer calls (single-threaded by contract; the
   // exempt prepare_task, task_started and granted are made without it) plus
   // the waits driven by serializer callbacks: parked tasks, unblock
-  // delivery, commute-token ownership, throttle waits, first_error_.
+  // delivery, commute-token ownership (commute_), throttle waits,
+  // first_error_, and the stats_ counters the waits and speculation keep.
   std::mutex mu_;
-  Serializer serializer_;
   /// Unblocks delivered and not yet consumed by their task's wait (one can
   /// land before the task parks: a speculation committed by the same
   /// critical section).
@@ -391,14 +375,6 @@ class ThreadEngine : public Engine,
   /// spawner may be deep inside a long task body and in the worst case
   /// every other thread sleeps through the whole speculation window.
   std::atomic<std::uint64_t> spec_epoch_{0};
-  /// Commuting-update exclusivity (Section 4.3 extension): commuters may
-  /// execute in any order but their accesses are mutually exclusive.  A
-  /// task takes an object's token at its first commute accessor and holds
-  /// it until completion.  Tasks taking tokens on several objects must do
-  /// so in a consistent global order (as with any lock).  Shared
-  /// implementation with SimEngine (sched/governor.hpp): waiters queue FIFO
-  /// and a release hands the token to the oldest, which is woken by name.
-  CommuteTokenTable commute_;
   /// Parked commute waiters (notify_external looks for cancelled ones).
   int commute_waiters_ = 0;
   /// Sizes of throttled_ and of its backlog-gated subset.  Changed under
@@ -407,9 +383,6 @@ class ThreadEngine : public Engine,
   std::atomic<int> throttle_waiters_{0};
   std::atomic<int> backlog_waiters_{0};
   std::vector<std::thread> workers_;
-  /// True once run() has executed; the next run() resets the scheduling
-  /// state for a fresh graph (objects and buffers persist).
-  bool ran_ = false;
   /// First exception that escaped a task body (or a spec violation raised
   /// inside one); rethrown from run() after the pool shuts down.
   std::exception_ptr first_error_;

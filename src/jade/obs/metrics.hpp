@@ -2,7 +2,7 @@
 //
 // One uniform, insertion-ordered view of everything a run accumulated,
 // subsuming the flat RuntimeStats fields: engines publish those as named
-// metrics at the end of run() (see publish_runtime_stats in engine.hpp),
+// metrics at the end of run() (see Engine::end_run in engine.hpp),
 // and additionally feed distribution metrics — task queue-wait, fetch-wait,
 // message latency — that a flat counter bag cannot hold.
 //

@@ -10,11 +10,12 @@
 //     Both engines queue waiters FIFO and resume the one release() hands
 //     the token to (SimEngine parks a process, ThreadEngine a fiber).
 //   * ThrottleGate — suppression of excess task creation (Section 3.3,
-//     Figure 7(e)): the water-mark predicates plus the suspension/give-up
-//     accounting, folded into RuntimeStats at the end of run().
+//     Figure 7(e)): the water-mark predicates; the engines count
+//     suspensions and give-ups in RuntimeStats where they happen.
 //
-// Neither component synchronizes: the caller brings its own discipline
-// (SimEngine is single-threaded; ThreadEngine calls under mu_).
+// Engine owns one of each.  Neither component synchronizes: the caller
+// brings its own discipline (SimEngine is single-threaded; ThreadEngine and
+// ClusterEngine call under their mu_).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "jade/core/object.hpp"
-#include "jade/core/stats.hpp"
 #include "jade/core/tenant.hpp"
 #include "jade/sched/policies.hpp"
 
@@ -53,6 +53,23 @@ class CommuteTokenTable {
   /// otherwise.
   bool release(ObjectId obj, TaskNode* task, TaskNode** next_holder = nullptr);
 
+  /// release(), then `resume(next)` for the waiter the token passed to.
+  template <typename Resume>
+  bool release_to(ObjectId obj, TaskNode* task, Resume&& resume) {
+    TaskNode* next = nullptr;
+    if (!release(obj, task, &next)) return false;
+    if (next != nullptr) resume(next);
+    return true;
+  }
+
+  /// Returns every token `task` holds, in acquisition order, resuming each
+  /// waiter a token passes to (a completing task's hand-off).
+  template <typename Resume>
+  void release_all(TaskNode* task, Resume&& resume) {
+    const std::vector<ObjectId> tokens = held(task);  // release() mutates it
+    for (ObjectId obj : tokens) release_to(obj, task, resume);
+  }
+
   /// The tokens `task` holds, in acquisition order (empty when none).
   const std::vector<ObjectId>& held(TaskNode* task) const;
 
@@ -65,11 +82,9 @@ class CommuteTokenTable {
   std::unordered_map<TaskNode*, std::vector<ObjectId>> held_;
 };
 
-/// Water-mark predicates and accounting for task-creation throttling.  The
-/// gate owns the suspension/give-up counters (the engines publish them into
-/// RuntimeStats when run() ends); the engine owns the waiting itself, which
-/// is engine-specific (SimEngine parks a sim process, ThreadEngine parks
-/// the creator's fiber with a deadlock-escape give-up).
+/// Water-mark predicates for task-creation throttling.  The engine owns the
+/// waiting itself, which is engine-specific (SimEngine parks a sim process,
+/// ThreadEngine parks the creator's fiber with a deadlock-escape give-up).
 class ThrottleGate {
  public:
   explicit ThrottleGate(ThrottleConfig config) : config_(config) {}
@@ -103,25 +118,8 @@ class ThrottleGate {
            ctl.quota_lo.load(std::memory_order_relaxed);
   }
 
-  void note_suspension() { ++suspensions_; }
-  void note_giveup() { ++giveups_; }
-
-  /// Publishes the suspension/give-up counters into `stats`.
-  void fold_into(RuntimeStats& stats) const {
-    stats.throttle_suspensions = suspensions_;
-    stats.throttle_giveups = giveups_;
-  }
-
-  /// Zeroes the accounting for a fresh run on a reused engine.
-  void reset_counters() {
-    suspensions_ = 0;
-    giveups_ = 0;
-  }
-
  private:
   ThrottleConfig config_;
-  std::uint64_t suspensions_ = 0;
-  std::uint64_t giveups_ = 0;
 };
 
 /// Splits a pool of live-task slots among tenants in proportion to their

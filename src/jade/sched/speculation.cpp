@@ -11,10 +11,12 @@ namespace jade {
 SpeculationExecutor::SpeculationExecutor(SpecConfig config,
                                          Serializer& serializer,
                                          SpeculationHooks& hooks,
+                                         RuntimeStats& stats,
                                          obs::Tracer& tracer)
     : config_(config),
       serializer_(serializer),
       hooks_(hooks),
+      stats_(stats),
       tracer_(tracer) {}
 
 bool SpeculationExecutor::offer(TaskNode* task) {
@@ -52,7 +54,7 @@ TaskNode* SpeculationExecutor::launch(
     if (std::any_of(contested.begin(), contested.end(), throttled)) {
       // An object this bet is against keeps conflicting: stop betting on
       // it.  The task leaves the list for good and runs normally.
-      ++denied_;
+      ++stats_.spec_denied;
       drop();
       continue;
     }
@@ -63,7 +65,7 @@ TaskNode* SpeculationExecutor::launch(
     }
     drop();
     serializer_.spec_start(task);
-    ++started_;
+    ++stats_.spec_started;
     task->assigned_machine = m;
     auto a = std::make_unique<Attempt>();
     a->task = task;
@@ -145,7 +147,7 @@ SpeculationExecutor::Outcome SpeculationExecutor::decide(TaskNode* task,
 
 void SpeculationExecutor::commit(TaskNode* task, Attempt& a) {
   serializer_.spec_commit(task);  // kReady -> kRunning, in serial order
-  ++committed_;
+  ++stats_.spec_committed;
   // The buffered writes become the canonical bytes before complete_task can
   // enable any successor — exactly where a normal run's writes would
   // already be.  Every dirty object has a shadow (shadow() records only
@@ -176,10 +178,11 @@ void SpeculationExecutor::abort(TaskNode* task, bool conflict) {
   auto it = attempts_.find(task);
   JADE_ASSERT(it != attempts_.end());
   const Attempt& a = *it->second;
-  for (const auto& [obj, bytes] : a.shadows) wasted_bytes_ += bytes.size();
+  for (const auto& [obj, bytes] : a.shadows)
+    stats_.spec_wasted_bytes += bytes.size();
   const double wasted_work = task->charged_work - a.charge_base;
-  wasted_work_ += wasted_work;
-  ++aborted_;
+  stats_.spec_wasted_work += wasted_work;
+  ++stats_.spec_aborted;
   if (conflict)
     for (ObjectId obj : a.contested) ++conflict_history_[obj];
   // The attempt's charge never happened for the task (an engine that folds
@@ -197,17 +200,6 @@ void SpeculationExecutor::reset() {
   enabled_.clear();
   attempts_.clear();
   conflict_history_.clear();
-  started_ = committed_ = aborted_ = denied_ = wasted_bytes_ = 0;
-  wasted_work_ = 0;
-}
-
-void SpeculationExecutor::fold_into(RuntimeStats& stats) const {
-  stats.spec_started = started_;
-  stats.spec_committed = committed_;
-  stats.spec_aborted = aborted_;
-  stats.spec_denied = denied_;
-  stats.spec_wasted_bytes = wasted_bytes_;
-  stats.spec_wasted_work = wasted_work_;
 }
 
 }  // namespace jade

@@ -6,9 +6,10 @@
 // snapshot-isolated shadow buffers (docs/PERFORMANCE.md).  The executor owns
 // the candidate scan, the budget and conflict-history throttle, each
 // attempt's state, the shadow translation of its accesses, the commit check,
-// the commit write-back, the abort rewind, and the spec.* counters and trace
-// events.  The engine keeps placement, running the body and waking waiters,
-// and serves the executor through SpeculationHooks.
+// the commit write-back, the abort rewind, and the spec.* counters (kept in
+// the engine's RuntimeStats) and trace events.  The engine keeps placement,
+// running the body and waking waiters, and serves the executor through
+// SpeculationHooks.
 //
 // Locking: the executor never synchronizes.  SimEngine is single-threaded;
 // ThreadEngine calls every member under its mu_ except shadow(), which the
@@ -81,7 +82,8 @@ class SpeculationExecutor {
   enum class Outcome { kPending, kCommitted, kAborted };
 
   SpeculationExecutor(SpecConfig config, Serializer& serializer,
-                      SpeculationHooks& hooks, obs::Tracer& tracer);
+                      SpeculationHooks& hooks, RuntimeStats& stats,
+                      obs::Tracer& tracer);
 
   bool enabled() const { return config_.enabled; }
 
@@ -140,11 +142,8 @@ class SpeculationExecutor {
   /// history; a crash of the host machine does not.
   void abort(TaskNode* task, bool conflict = false);
 
-  /// Clears candidates, attempts, history and counters for a fresh run.
+  /// Clears candidates, attempts and history for a fresh run.
   void reset();
-
-  /// Publishes the spec.* counters into `stats`.
-  void fold_into(RuntimeStats& stats) const;
 
  private:
   void commit(TaskNode* task, Attempt& a);
@@ -152,17 +151,12 @@ class SpeculationExecutor {
   SpecConfig config_;
   Serializer& serializer_;
   SpeculationHooks& hooks_;
+  RuntimeStats& stats_;  ///< the spec_* fields
   obs::Tracer& tracer_;
   std::deque<TaskNode*> candidates_;  ///< creation order
   std::deque<TaskNode*> enabled_;     ///< serial enable order
   std::unordered_map<TaskNode*, std::unique_ptr<Attempt>> attempts_;
   std::unordered_map<ObjectId, int> conflict_history_;  ///< aborts per object
-  std::uint64_t started_ = 0;
-  std::uint64_t committed_ = 0;
-  std::uint64_t aborted_ = 0;
-  std::uint64_t denied_ = 0;
-  std::uint64_t wasted_bytes_ = 0;
-  double wasted_work_ = 0;
 };
 
 }  // namespace jade

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -149,24 +150,46 @@ const int kRetireThenRead = BodyRegistry::instance().ensure(
       (void)t.read(obj);  // retired: must throw
     });
 
-// Writes a Retire frame for a task this worker does not run straight onto
-// the worker's socket (its only one), as a confused or hostile worker
-// might.
+// Writes a Retire frame carrying `msg` straight onto the worker's socket (its
+// only one), as a confused or hostile worker might.
+void forge_retire(const cluster::WithContMsg& msg) {
+  const std::vector<std::byte> frame =
+      cluster::encode_frame(cluster::FrameType::kRetire, cluster::pack(msg));
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISSOCK(st.st_mode)) continue;
+    if (::write(fd, frame.data(), frame.size()) !=
+        static_cast<ssize_t>(frame.size()))
+      throw std::runtime_error("short write of the forged frame");
+    return;
+  }
+  throw std::runtime_error("worker socket not found");
+}
+
+// A Retire for a task this worker does not run.
 const int kForgeRetire = BodyRegistry::instance().ensure(
     "test.forge_retire", [](TaskContext&, WireReader&) {
       cluster::WithContMsg msg;
       msg.task = std::uint64_t{1} << 40;
-      const std::vector<std::byte> frame = cluster::encode_frame(
-          cluster::FrameType::kRetire, cluster::pack(msg));
-      for (int fd = 3; fd < 1024; ++fd) {
-        struct stat st;
-        if (::fstat(fd, &st) != 0 || !S_ISSOCK(st.st_mode)) continue;
-        if (::write(fd, frame.data(), frame.size()) !=
-            static_cast<ssize_t>(frame.size()))
-          throw std::runtime_error("short write of the forged frame");
-        return;
-      }
-      throw std::runtime_error("worker socket not found");
+      forge_retire(msg);
+    });
+
+// A Retire for the worker's own task (id 1: the root's only child) that
+// carries a payload of 42.0 for an object the task declared only for reading.
+const int kForgeWriteback = BodyRegistry::instance().ensure(
+    "test.forge_writeback", [](TaskContext&, WireReader& r) {
+      const auto obj = get_ref<double>(r);
+      cluster::WithContMsg msg;
+      msg.task = 1;
+      cluster::WithContItem item;
+      item.req.obj = obj.id();
+      item.req.remove = access::kRead;
+      item.has_payload = true;
+      const double forged = 42.0;
+      item.payload.resize(sizeof forged);
+      std::memcpy(item.payload.data(), &forged, sizeof forged);
+      msg.items.push_back(std::move(item));
+      forge_retire(msg);
     });
 
 // --- helpers ----------------------------------------------------------------
@@ -694,6 +717,22 @@ TEST(ClusterEngine, RetireForATaskTheWorkerDoesNotRunIsProtocolError) {
                                 [&](AccessDecl& d) { d.rd(x); });
                }),
                ProtocolError);
+}
+
+// A writeback is accepted only from a task holding a write or commute right
+// on the object; otherwise a reader could overwrite the canonical bytes.
+TEST(ClusterEngine, WritebackWithoutAWriteRightIsProtocolError) {
+  Runtime rt(cluster_config(2, /*spares=*/0));
+  const std::vector<double> init = {1.0};
+  auto x = rt.alloc_init<double>(init, "x");
+  EXPECT_THROW(rt.run([&](TaskContext& ctx) {
+                 WireWriter args;
+                 put_ref(args, x);
+                 cluster::spawn(ctx, kForgeWriteback, std::move(args),
+                                [&](AccessDecl& d) { d.rd(x); });
+               }),
+               ProtocolError);
+  EXPECT_EQ(rt.get(x)[0], 1.0);
 }
 
 }  // namespace

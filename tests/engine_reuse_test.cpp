@@ -62,15 +62,30 @@ TEST_P(EngineReuseTest, ThrottledGraphReusesGovernorState) {
   cfg.sched.throttle.low_water = 2;
   Runtime rt(cfg);
   auto v = rt.alloc<std::uint64_t>(1, "v");
-  for (int round = 0; round < 2; ++round) {
+  const auto run_increments = [&](int tasks) {
     rt.run([&](TaskContext& ctx) {
-      for (int i = 0; i < 64; ++i) {
+      for (int i = 0; i < tasks; ++i) {
         ctx.withonly([&](AccessDecl& d) { d.cm(v); },
                      [v](TaskContext& t) { t.commute(v)[0] += 1; });
       }
     });
-  }
+    // The registry publishes exactly this run's counters.
+    const RuntimeStats& s = rt.stats();
+    obs::MetricsRegistry& m = rt.metrics();
+    EXPECT_EQ(s.tasks_created, static_cast<std::uint64_t>(tasks));
+    EXPECT_EQ(m.counter("engine.tasks_created").value(), s.tasks_created);
+    EXPECT_EQ(m.counter("engine.throttle_suspensions").value(),
+              s.throttle_suspensions);
+    EXPECT_EQ(m.counter("engine.throttle_giveups").value(), s.throttle_giveups);
+  };
+  run_increments(64);
+  run_increments(64);
   EXPECT_EQ(rt.get(v)[0], 128u);
+  // One task cannot fill the throttle's window: nothing carries over from
+  // the suspensions of the runs before.
+  run_increments(1);
+  EXPECT_EQ(rt.stats().throttle_suspensions, 0u);
+  EXPECT_EQ(rt.get(v)[0], 129u);
 }
 
 TEST_P(EngineReuseTest, AllocationBetweenRuns) {
