@@ -1,5 +1,5 @@
 // Communication-protocol rework, isolated: the same three message-passing
-// workloads with every CommConfig optimization off ("before" — the original
+// workloads with SchedPolicy::optimized_comm off ("before" — the original
 // per-object request/copy/invalidate protocol) and on ("after" — request
 // combining, version-based replica reuse, coalesced invalidation,
 // conversion caching, deferred prefetch).
@@ -72,8 +72,7 @@ Row measure(const std::string& scenario, bool optimized,
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kSim;
   cfg.cluster = cluster;
-  if (!optimized)
-    cfg.sched.comm = CommConfig{false, false, false, false, false};
+  cfg.sched.optimized_comm = optimized;
   Runtime rt(std::move(cfg));
   const std::vector<double> got = workload(rt);
   if (got != expect) {

@@ -60,7 +60,6 @@ struct JadeBlockedSparse {
   int block_count() const {
     return (n + block - 1) / block;
   }
-  int block_of(int col) const { return col / block; }
   int first_col(int b) const { return b * block; }
   int last_col(int b) const { return std::min(n, (b + 1) * block); }
 };

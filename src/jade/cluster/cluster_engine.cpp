@@ -34,9 +34,8 @@ std::exception_ptr capture_error(ErrorCode code, const std::string& what) {
 }  // namespace
 
 ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
-                             bool enforce_hierarchy,
                              std::shared_ptr<const model::Planner> planner)
-    : Engine(enforce_hierarchy, sched.throttle),
+    : Engine(sched.throttle),
       options_(options),
       sched_(sched),
       planner_(planner != nullptr ? std::move(planner)

@@ -48,7 +48,6 @@ namespace jade::cluster {
 class ClusterEngine : public Engine, public RegisteredSpawner {
  public:
   explicit ClusterEngine(Options options, SchedPolicy sched = {},
-                         bool enforce_hierarchy = true,
                          std::shared_ptr<const model::Planner> planner =
                              nullptr);
   ~ClusterEngine() override;

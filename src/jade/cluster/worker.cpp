@@ -30,7 +30,7 @@ namespace {
 class WorkerEngine : public Engine, public RegisteredSpawner {
  public:
   WorkerEngine(Channel& ch, MachineId machine, int machines)
-      : Engine(true, {}), ch_(ch), machine_(machine), machines_(machines) {}
+      : ch_(ch), machine_(machine), machines_(machines) {}
 
   // --- per-object execution state -----------------------------------------
   struct ObjectState {

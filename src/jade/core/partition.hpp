@@ -43,7 +43,6 @@ class PartitionedArray {
 
   /// The shared object holding part `p`.
   const SharedRef<T>& part(std::size_t p) const { return refs_[p]; }
-  const std::vector<SharedRef<T>>& all_parts() const { return refs_; }
 
   /// First element index of part `p`; part p covers [begin(p), end(p)).
   std::size_t begin(std::size_t p) const { return starts_[p]; }

@@ -13,8 +13,7 @@ DeclRecord* TaskNode::find_record(ObjectId obj) const {
   return nullptr;
 }
 
-Serializer::Serializer(SerializerListener* listener, bool enforce_hierarchy)
-    : listener_(listener), enforce_hierarchy_(enforce_hierarchy) {
+Serializer::Serializer(SerializerListener* listener) : listener_(listener) {
   JADE_ASSERT(listener != nullptr);
   make_root();
 }
@@ -109,7 +108,7 @@ std::unique_ptr<TaskNode> Serializer::prepare_task(
     // Program roots are exempt from the coverage rule the way root children
     // are: they begin a fresh program whose accesses their host parent (the
     // server dispatcher, which declares nothing) never made.
-    if (enforce_hierarchy_ && !parent->is_root() && !parent->program_root_)
+    if (!parent->is_root() && !parent->program_root_)
       check_coverage(parent, req);
     JADE_ASSERT_MSG(task->find_record(req.obj) == nullptr,
                     "duplicate declaration for one object in one withonly");
@@ -186,7 +185,7 @@ bool Serializer::granted(const TaskNode* task, ObjectId obj,
   // behind every running task.  Children of a program root skip the
   // coverage rule; the server's program roots declare nothing, so theirs
   // append at the tails too.
-  if (!enforce_hierarchy_ || (mode & access::kCommute)) return false;
+  if (mode & access::kCommute) return false;
   const DeclRecord* rec = task->find_record(obj);
   return rec != nullptr && !rec->child_ahead &&
          (mode & static_cast<std::uint8_t>(~rec->immediate)) == 0;

@@ -107,11 +107,6 @@ class TaskNode {
   /// Inherited from the parent unless create_task received an explicit
   /// tenant (a *program root* — the entry task of one tenant's graph).
   TenantCtl* tenant() const { return tenant_; }
-  /// True for the entry task of a tenant's graph.  Program roots are exempt
-  /// from the hierarchy coverage rule the way root children are: they start
-  /// a fresh program whose declarations their (host) parent never made.
-  bool program_root() const { return program_root_; }
-
   /// True while an engine runs this task speculatively (SchedPolicy::spec):
   /// its body executes against snapshot-isolated buffers, bypassing the
   /// serializer, while its records keep their queue positions untouched.
@@ -130,11 +125,6 @@ class TaskNode {
   /// matters wherever iteration order affects simulated timing.
   const std::vector<DeclRecord*>& ordered_records() const {
     return ordered_records_;
-  }
-
-  template <typename F>
-  void for_each_record(F&& f) const {
-    for (const DeclRecord* rec : ordered_records_) f(*rec);
   }
 
   // --- engine-owned fields -------------------------------------------------
@@ -172,6 +162,8 @@ class TaskNode {
   std::uint32_t start_pending_ = 0;  ///< immediate records not yet enabled
   std::uint32_t block_pending_ = 0;  ///< records a running task waits on
   TenantCtl* tenant_ = nullptr;
+  /// Entry task of a tenant's graph: exempt from the coverage rule, like a
+  /// root child, since its host parent never made its declarations.
   bool program_root_ = false;
   bool speculating_ = false;
   std::array<DeclRecord, kInlineRecords> inline_records_;
@@ -212,7 +204,7 @@ class SerializerListener {
 
 class Serializer {
  public:
-  Serializer(SerializerListener* listener, bool enforce_hierarchy = true);
+  explicit Serializer(SerializerListener* listener);
   ~Serializer();
 
   Serializer(const Serializer&) = delete;
@@ -398,7 +390,6 @@ class Serializer {
   void make_root();
 
   SerializerListener* listener_;
-  bool enforce_hierarchy_;
   std::function<TenantId(ObjectId)> tenant_oracle_;
   TaskNode* root_;
   /// Every task until reset().  TaskNodes are heap-pinned, and so are

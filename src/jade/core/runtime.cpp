@@ -13,26 +13,25 @@ namespace {
 std::unique_ptr<Engine> make_engine(const RuntimeConfig& config) {
   // The policy seam (docs/MODEL.md): the planner first resolves the
   // effective SchedPolicy for this (platform, base-knobs) pair — the default
-  // HeuristicPlanner is the identity — then the engine consults the same
-  // planner for every placement decision during the run.
+  // HeuristicPlanner is the identity — then SimEngine and ClusterEngine
+  // consult the same planner for every placement decision during the run
+  // (ThreadEngine places by work stealing).
   std::shared_ptr<const model::Planner> planner =
       config.planner != nullptr ? config.planner : model::default_planner();
   const SchedPolicy sched = planner->plan_policy(config.cluster, config.sched);
   switch (config.engine) {
     case EngineKind::kSerial:
-      return std::make_unique<SerialEngine>(config.enforce_hierarchy);
+      return std::make_unique<SerialEngine>();
     case EngineKind::kThread:
       return std::make_unique<ThreadEngine>(config.threads, sched.throttle,
-                                            config.enforce_hierarchy,
-                                            sched.spec, planner);
+                                            sched.spec);
     case EngineKind::kSim:
       config.cluster.validate();
-      return std::make_unique<SimEngine>(config.cluster, sched,
-                                         config.enforce_hierarchy,
-                                         config.fault, planner);
+      return std::make_unique<SimEngine>(config.cluster, sched, config.fault,
+                                         planner);
     case EngineKind::kCluster:
-      return std::make_unique<cluster::ClusterEngine>(
-          config.cluster_proc, sched, config.enforce_hierarchy, planner);
+      return std::make_unique<cluster::ClusterEngine>(config.cluster_proc,
+                                                      sched, planner);
   }
   throw ConfigError("unknown EngineKind");
 }
@@ -60,7 +59,7 @@ void Runtime::write_chrome_trace(std::ostream& out) const {
     throw ConfigError(
         "write_chrome_trace: tracing is off (set RuntimeConfig::obs.trace)");
   const std::vector<obs::TraceEvent> events = rec->snapshot();
-  obs::write_chrome_trace(out, events, {});
+  obs::write_chrome_trace(out, events);
 }
 
 void Runtime::write_chrome_trace(const std::string& path) const {
@@ -68,7 +67,7 @@ void Runtime::write_chrome_trace(const std::string& path) const {
   if (rec == nullptr)
     throw ConfigError(
         "write_chrome_trace: tracing is off (set RuntimeConfig::obs.trace)");
-  obs::write_chrome_trace_file(path, *rec, {});
+  obs::write_chrome_trace_file(path, *rec);
 }
 
 }  // namespace jade

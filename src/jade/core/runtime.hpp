@@ -71,10 +71,6 @@ struct RuntimeConfig {
   /// byte-identical to the legacy hard-wired heuristics.
   std::shared_ptr<const model::Planner> planner;
 
-  /// Reject child tasks whose accesses the parent did not declare
-  /// (Section 4.4).  Disable only in benchmarks measuring check overhead.
-  bool enforce_hierarchy = true;
-
   /// Fault injection & recovery (SimEngine on message-passing platforms
   /// only; see docs/FAULT_TOLERANCE.md).  Disabled by default.
   FaultConfig fault;

@@ -35,7 +35,7 @@ struct RuntimeStats {
   std::uint64_t invalidations = 0;
   std::uint64_t scalars_converted = 0;  ///< heterogeneous format conversion
 
-  // --- communication-protocol optimizations (SimEngine, CommConfig) --------
+  // --- communication-protocol optimizations (SimEngine, optimized_comm) ----
   std::uint64_t requests_combined = 0;  ///< requests that rode a shared fetch
   std::uint64_t replicas_reused = 0;    ///< stale replicas revalidated in place
   std::uint64_t invalidations_coalesced = 0;  ///< unicasts folded into mcasts

@@ -6,8 +6,8 @@
 
 namespace jade {
 
-Engine::Engine(bool enforce_hierarchy, ThrottleConfig throttle)
-    : serializer_(this, enforce_hierarchy), throttle_(throttle) {
+Engine::Engine(ThrottleConfig throttle)
+    : serializer_(this), throttle_(throttle) {
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return object_info(obj).tenant; });
 }

@@ -37,7 +37,7 @@
 namespace jade {
 
 /// Observability configuration (src/jade/obs): structured tracing is off by
-/// default and zero-cost when off (a null sink pointer behind one branch).
+/// default and zero-cost when off (a null recorder pointer behind one branch).
 struct ObsConfig {
   /// Record a structured event trace (export with Runtime::write_chrome_trace).
   bool trace = false;
@@ -144,7 +144,7 @@ class Engine : private SerializerListener {
   /// Builds the task space: the serializer (this engine is its listener,
   /// the object table its tenant oracle), the commute tokens and the
   /// throttle gate.
-  Engine(bool enforce_hierarchy, ThrottleConfig throttle);
+  explicit Engine(ThrottleConfig throttle = {});
 
   // --- byte storage: one implementation per engine -------------------------
   // Called after the argument checks, without the table lock held.  Racing
@@ -178,10 +178,10 @@ class Engine : private SerializerListener {
   /// token table and zeroes stats_.  Objects and their bytes persist.
   void begin_run();
 
-  /// Ends a run: takes tasks_created from the serializer and publishes
-  /// every RuntimeStats field into `metrics_` under the canonical dotted
-  /// names (docs/OBSERVABILITY.md), giving benches and tests one uniform
-  /// registry view.
+  /// Ends a run, failed or not: takes tasks_created from the serializer and
+  /// publishes every RuntimeStats field into `metrics_` under the canonical
+  /// dotted names (docs/OBSERVABILITY.md), giving benches and tests one
+  /// uniform registry view.
   void end_run();
 
   /// The spawn prologue: a speculating creator abandons its attempt

@@ -4,9 +4,6 @@
 
 namespace jade {
 
-SerialEngine::SerialEngine(bool enforce_hierarchy)
-    : Engine(enforce_hierarchy, {}) {}
-
 void SerialEngine::run(std::function<void(TaskContext&)> root_body) {
   // A fresh graph and fresh stats for every run on one reused engine;
   // objects and buffers persist.  Identical state on the first run, so
@@ -20,7 +17,12 @@ void SerialEngine::run(std::function<void(TaskContext&)> root_body) {
                        root->name());
   }
   TaskContext ctx(this, root);
-  root_body(ctx);
+  try {
+    root_body(ctx);
+  } catch (...) {
+    end_run();  // a failed run publishes its counters too
+    throw;
+  }
   serializer_.complete_task(root);
   tracer_.span_end(obs::Subsystem::kEngine, "task", root->id(), 0,
                    root->charged_work);

@@ -21,8 +21,6 @@ namespace jade {
 
 class SerialEngine : public Engine {
  public:
-  explicit SerialEngine(bool enforce_hierarchy);
-
   void run(std::function<void(TaskContext&)> root_body) override;
 
   void spawn(TaskNode* parent, const std::vector<AccessRequest>& requests,

@@ -192,7 +192,7 @@ void SimEngine::task_process(TaskNode* task) {
       if (rec->immediate != 0) {
         items.push_back(
             {rec->obj, (rec->immediate & kExclusiveBits) != 0, true});
-      } else if (sched_.comm.prefetch_deferred &&
+      } else if (sched_.optimized_comm &&
                  (rec->deferred & access::kRead) &&
                  (rec->deferred & kExclusiveBits) == 0) {
         items.push_back({rec->obj, false, false});
@@ -618,7 +618,12 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
 
   if (ft_enabled()) ft_->schedule_events();
 
-  sim_.run();
+  try {
+    sim_.run();
+  } catch (...) {
+    end_run();  // a failed run publishes its counters too
+    throw;
+  }
 
   JADE_ASSERT_MSG(serializer_.outstanding() == 0,
                   "simulation drained with outstanding tasks");

@@ -56,8 +56,7 @@ class FaultyNetwork;
 
 class SimEngine : public Engine, private SpeculationHooks {
  public:
-  SimEngine(ClusterConfig cluster, SchedPolicy sched, bool enforce_hierarchy,
-            FaultConfig fault = {},
+  SimEngine(ClusterConfig cluster, SchedPolicy sched, FaultConfig fault = {},
             std::shared_ptr<const model::Planner> planner = nullptr);
   ~SimEngine() override;
 

@@ -94,9 +94,9 @@ struct SimEngine::FtHooks final : RecoveryHooks {
 // --- construction -----------------------------------------------------------
 
 SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
-                     bool enforce_hierarchy, FaultConfig fault,
+                     FaultConfig fault,
                      std::shared_ptr<const model::Planner> planner)
-    : Engine(enforce_hierarchy, sched.throttle),
+    : Engine(sched.throttle),
       cluster_(std::move(cluster)),
       sched_(sched),
       planner_(planner != nullptr ? std::move(planner)
@@ -109,7 +109,7 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
     throw ConfigError("contexts_per_machine must be >= 1");
   // With replica reuse on, a dropped-but-current replica is as good as a
   // present one for the locality heuristics.
-  directory_.set_reuse_scoring(sched_.comm.reuse_replicas);
+  directory_.set_reuse_scoring(sched_.optimized_comm);
   machines_.reserve(cluster_.machines.size());
   for (const MachineDesc& desc : cluster_.machines) {
     Machine m;
@@ -123,7 +123,7 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
   endians.reserve(machines_.size());
   for (const Machine& m : machines_) endians.push_back(m.desc.endian);
   CoherenceConfig ccfg;
-  ccfg.comm = sched_.comm;
+  ccfg.optimized_comm = sched_.optimized_comm;
   ccfg.control_message_bytes = cluster_.control_message_bytes;
   ccfg.conversion_seconds_per_scalar = cluster_.conversion_seconds_per_scalar;
   coherence_ = std::make_unique<CoherenceProtocol>(
@@ -141,7 +141,6 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
         fault, machine_count(), *ft_hooks_, *transport_, directory_,
         *coherence_, stats_, tracer_, cluster_.control_message_bytes);
     FaultyNetConfig net_cfg;
-    net_cfg.drop_probability = fault.drop_probability;
     net_cfg.initial_retry_timeout = fault.initial_retry_timeout;
     net_cfg.max_retry_timeout = fault.max_retry_timeout;
     net_cfg.max_send_attempts = fault.max_send_attempts;

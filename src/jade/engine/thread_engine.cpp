@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "jade/model/planner.hpp"
 #include "jade/support/error.hpp"
 #include "jade/support/log.hpp"
 
@@ -30,12 +31,9 @@ ThreadEngine::TlsBinding::~TlsBinding() {
 }
 
 ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
-                           bool enforce_hierarchy, SpecConfig spec,
-                           std::shared_ptr<const model::Planner> planner)
-    : Engine(enforce_hierarchy, throttle),
+                           SpecConfig spec)
+    : Engine(throttle),
       workers_requested_(workers),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       spec_(spec, serializer_, *this, stats_, tracer_) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
 }
@@ -422,15 +420,14 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   task->assigned_machine = slot->machine;
   if (tracer_.enabled()) {
     // Work stealing has no directory to score: the "placement" is which
-    // worker claimed the task.  The planner still produces the structured
-    // explanation — candidates are the worker slots with their queue
-    // depths — so every engine's sched.place event has one shape.
-    std::vector<int> depths;
-    depths.reserve(slots_.size());
-    for (const auto& s : slots_)
-      depths.push_back(static_cast<int>(s->deque.size_estimate()));
+    // thread claimed the task.  The candidates are the thread slots, each
+    // under its machine id with its queue depth, so every engine's
+    // sched.place event has one shape.
     PlacementExplain explain;
-    planner_->explain_claim(depths, slot->machine, &explain);
+    explain.chosen = slot->machine;
+    for (const auto& s : slots_)
+      explain.candidates.push_back(
+          {s->machine, 0, static_cast<int>(s->deque.size_estimate())});
     tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
                     slot->machine,
                     static_cast<double>(explain.candidates.size()),

@@ -52,7 +52,6 @@
 
 #include "jade/engine/buffer_table.hpp"
 #include "jade/engine/engine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/sched/speculation.hpp"
 #include "jade/support/fiber.hpp"
@@ -63,9 +62,7 @@ namespace jade {
 
 class ThreadEngine : public Engine, private SpeculationHooks {
  public:
-  ThreadEngine(int workers, ThrottleConfig throttle, bool enforce_hierarchy,
-               SpecConfig spec = {},
-               std::shared_ptr<const model::Planner> planner = nullptr);
+  ThreadEngine(int workers, ThrottleConfig throttle, SpecConfig spec = {});
   ~ThreadEngine() override;
 
   void run(std::function<void(TaskContext&)> root_body) override;
@@ -344,11 +341,6 @@ class ThreadEngine : public Engine, private SpeculationHooks {
   static thread_local SpeculationExecutor::Attempt* tls_spec_;
 
   const int workers_requested_;
-  /// Policy seam (docs/MODEL.md): work stealing places tasks implicitly
-  /// (the claiming worker is the placement), so the planner's role here is
-  /// the policy knobs it planned up front plus the structured claim
-  /// explanation emitted into traces.  Default: the shared HeuristicPlanner.
-  std::shared_ptr<const model::Planner> planner_;
 
   // --- serializer domain: guarded by mu_ -----------------------------------
   // mu_ serializes the Serializer calls (single-threaded by contract; the

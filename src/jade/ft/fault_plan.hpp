@@ -73,7 +73,6 @@ struct FaultConfig {
   /// alone would oversubscribe it and the backlog would grow forever).
   SimTime heartbeat_interval = 50e-3;
   int heartbeat_miss_threshold = 3;
-  std::size_t heartbeat_bytes = 32;
 
   /// Snapshot/stable-storage policy: when true, every committed object
   /// update is (conceptually) persisted to stable storage, so an object

@@ -9,6 +9,11 @@
 
 namespace jade {
 
+namespace {
+/// Wire size of one heartbeat message.
+constexpr std::size_t kHeartbeatBytes = 32;
+}  // namespace
+
 RecoveryCoordinator::RecoveryCoordinator(
     const FaultConfig& fault, int machine_count, RecoveryHooks& hooks,
     CoherenceTransport& transport, ObjectDirectory& directory,
@@ -46,10 +51,10 @@ void RecoveryCoordinator::send_heartbeats() {
   for (MachineId m = 1; m < machine_count_; ++m) {
     if (!injector_->machine_up(m)) continue;
     const SimTime arrival =
-        transport_.unicast(m, 0, fault_.heartbeat_bytes, transport_.now());
+        transport_.unicast(m, 0, kHeartbeatBytes, transport_.now());
     ++stats_.heartbeats_sent;
     stats_.messages += 1;
-    stats_.bytes_sent += fault_.heartbeat_bytes;
+    stats_.bytes_sent += kHeartbeatBytes;
     hooks_.schedule_at(arrival, [this, m, arrival] {
       // A heartbeat retransmitted past its sender's detected death is
       // stale; the coordinator has fenced the machine and must not let it

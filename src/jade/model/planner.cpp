@@ -2,15 +2,6 @@
 
 namespace jade::model {
 
-void Planner::explain_claim(std::span<const int> queue_depths,
-                            MachineId chosen,
-                            PlacementExplain* explain) const {
-  explain->candidates.clear();
-  explain->chosen = chosen;
-  for (MachineId m = 0; m < static_cast<MachineId>(queue_depths.size()); ++m)
-    explain->candidates.push_back({m, 0, queue_depths[m]});
-}
-
 MachineId HeuristicPlanner::place_task(const ObjectDirectory& dir,
                                        const PlacementQuery& q,
                                        PlacementExplain* explain) const {

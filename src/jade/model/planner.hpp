@@ -2,12 +2,12 @@
 //
 // Every scattered policy decision the engines used to hard-wire routes
 // through this interface: placement scoring (machine-for-task and
-// task-for-machine), work-stealing claim explanation, and whole-policy
-// planning (contexts, locality, throttle windows, comm gates, speculation
-// budgets).  SimEngine, ThreadEngine, and ClusterEngine all hold a Planner;
-// the default HeuristicPlanner reproduces the legacy heuristics to the byte
-// (same choices, same trace detail strings), so a run that never sets
-// RuntimeConfig::planner is indistinguishable from the pre-seam engines.
+// task-for-machine) and whole-policy planning (contexts, locality, throttle
+// windows, the comm protocol, speculation budgets).  SimEngine and
+// ClusterEngine hold a Planner; ThreadEngine places by work stealing and
+// holds none.  The default HeuristicPlanner reproduces the legacy heuristics
+// to the byte (same choices, same trace detail strings), so a run that never
+// sets RuntimeConfig::planner is indistinguishable from the pre-seam engines.
 //
 // ModelPlanner (model_planner.hpp) is the interesting implementation: it
 // predicts completion time with a trace-fitted CostModel and searches the
@@ -60,13 +60,6 @@ class Planner {
   virtual std::size_t select_task(const SelectQuery& q,
                                   PlacementExplain* explain = nullptr)
       const = 0;
-
-  /// Explains a work-stealing claim (ThreadEngine): there is no directory to
-  /// score, so the candidates are the live worker slots with their queue
-  /// depths and `chosen` is the claiming worker.  Only called when tracing.
-  virtual void explain_claim(std::span<const int> queue_depths,
-                             MachineId chosen,
-                             PlacementExplain* explain) const;
 
   /// Plans the whole policy for a run on `cluster`, starting from the
   /// caller's `base` knobs.  The default is the identity: hand-set knobs

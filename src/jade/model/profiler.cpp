@@ -12,17 +12,21 @@ namespace jade::model {
 namespace {
 
 constexpr double kProbeOps = 1.0e7;
+/// Width of the critical-path probe.  Parallelism beyond this saturates the
+/// estimate at total_work / kWideMachines (still an upper bound on
+/// per-machine serialization, so predictions stay sane).
+constexpr int kWideMachines = 256;
 
 /// Contention-free shared-memory platform wide enough that tasks almost
 /// never wait for a machine: completion time ≈ critical path.
-ClusterConfig wide_platform(int machines) {
+ClusterConfig wide_platform() {
   ClusterConfig c;
   c.name = "profile-wide";
   c.net = NetKind::kSharedMemory;
   MachineDesc m;
   m.kind = MachineKind::kCpu;
   m.ops_per_second = kProbeOps;
-  for (int i = 0; i < machines; ++i) {
+  for (int i = 0; i < kWideMachines; ++i) {
     m.name = "wide" + std::to_string(i);
     c.machines.push_back(m);
   }
@@ -46,7 +50,7 @@ WorkloadFeatures profile_workload(const WorkloadFn& workload,
 
   // 1. Wide probe: the dependence-chain floor.
   {
-    RuntimeConfig cfg = sim_config(wide_platform(opts.wide_machines));
+    RuntimeConfig cfg = sim_config(wide_platform());
     cfg.sched.contexts_per_machine = 2;
     Runtime rt(cfg);
     workload(rt);

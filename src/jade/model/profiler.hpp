@@ -33,10 +33,6 @@ namespace jade::model {
 struct ProfileOptions {
   /// Width of the message-passing profile platform (comm + spec probes).
   int machines = 8;
-  /// Width of the critical-path probe.  Parallelism beyond this saturates
-  /// the estimate at total_work / wide_machines (still an upper bound on
-  /// per-machine serialization, so predictions stay sane).
-  int wide_machines = 256;
   /// Take the extra speculation run (skip for spec-irrelevant workloads).
   bool probe_speculation = true;
 };

@@ -22,7 +22,6 @@
 namespace jade {
 
 struct FaultyNetConfig {
-  double drop_probability = 0.0;  ///< advisory; the hook decides per message
   SimTime initial_retry_timeout = 2e-3;
   SimTime max_retry_timeout = 64e-3;
   int max_send_attempts = 10;

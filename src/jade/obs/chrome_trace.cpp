@@ -84,8 +84,7 @@ void write_event(std::ostream& os, const TraceEvent& ev) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
-                        const ChromeTraceOptions& options) {
+void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events) {
   std::vector<const TraceEvent*> ordered;
   ordered.reserve(events.size());
   for (const TraceEvent& ev : events) ordered.push_back(&ev);
@@ -98,8 +97,7 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   // Track metadata: name the process and every machine track that appears.
   os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\""
-     << json_escape(options.process_name) << "\"}}";
+        "\"args\":{\"name\":\"jade\"}}";
   std::set<int> tids;
   for (const TraceEvent* ev : ordered) tids.insert(ev->machine + 1);
   for (int tid : tids) {
@@ -116,13 +114,12 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
 }
 
 void write_chrome_trace_file(const std::string& path,
-                             const TraceRecorder& recorder,
-                             const ChromeTraceOptions& options) {
+                             const TraceRecorder& recorder) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out)
     throw ConfigError("cannot open trace output file: " + path);
   const auto events = recorder.snapshot();
-  write_chrome_trace(out, events, options);
+  write_chrome_trace(out, events);
 }
 
 std::string trace_text_summary(std::span<const TraceEvent> events) {

@@ -9,7 +9,7 @@
 //                 one machine legitimately overlap (multiple task contexts);
 //   * instants -> "ph":"i" (thread scope);
 //   * counters -> "ph":"C";
-//   * one metadata record names each machine's track.
+//   * metadata records name the process "jade" and each machine's track.
 // pid is always 1 (one simulated cluster); tid is machine + 1 (tid 1 =
 // machine 0; events with no machine land on tid 0, the "host" track).
 // Timestamps are virtual seconds scaled to microseconds.
@@ -27,18 +27,12 @@
 
 namespace jade::obs {
 
-struct ChromeTraceOptions {
-  std::string process_name = "jade";
-};
-
-void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
-                        const ChromeTraceOptions& options = {});
+void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events);
 
 /// Convenience: snapshot + write to a file.  Throws ConfigError when the
 /// file cannot be opened.
 void write_chrome_trace_file(const std::string& path,
-                             const TraceRecorder& recorder,
-                             const ChromeTraceOptions& options = {});
+                             const TraceRecorder& recorder);
 
 /// Deterministic text summary: per (category, event name), the number of
 /// occurrences (spans counted once, by their end event).

@@ -1,5 +1,4 @@
-// TraceSink — where emitted events go — and TraceRecorder, the standard
-// in-memory ring-buffered sink.
+// TraceRecorder — where emitted events go: an in-memory ring buffer.
 //
 // The recorder keeps the newest `capacity` events: observability must never
 // turn a long run into an OOM, so when the ring fills the oldest events are
@@ -16,20 +15,13 @@
 
 namespace jade::obs {
 
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// Takes ownership of one event.  Called from whichever thread emits —
-  /// sinks used with ThreadEngine must be thread-safe (TraceRecorder is).
-  virtual void record(TraceEvent ev) = 0;
-};
-
-class TraceRecorder : public TraceSink {
+class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
-  void record(TraceEvent ev) override;
+  /// Takes ownership of one event.  Thread-safe: called from whichever
+  /// thread emits.
+  void record(TraceEvent ev);
 
   /// Events currently held, oldest first (seq order).  A copy: the ring may
   /// keep rolling while the caller exports.

@@ -2,8 +2,8 @@
 
 namespace jade::obs {
 
-void Tracer::attach(TraceSink* sink, Clock clock) {
-  sink_ = sink;
+void Tracer::attach(TraceRecorder* recorder, Clock clock) {
+  rec_ = recorder;
   clock_ = std::move(clock);
 }
 
@@ -19,7 +19,7 @@ void Tracer::emit(EventKind kind, Subsystem cat, const char* name,
   ev.ts = ts;
   ev.value = value;
   ev.detail = std::move(detail);
-  sink_->record(std::move(ev));
+  rec_->record(std::move(ev));
 }
 
 }  // namespace jade::obs

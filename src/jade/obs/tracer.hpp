@@ -1,6 +1,6 @@
 // Tracer — the emission facade every instrumented subsystem holds.
 //
-// Zero-cost when disabled: a detached tracer is a null sink pointer, and
+// Zero-cost when disabled: a detached tracer is a null recorder pointer, and
 // every emit method is a single branch on it.  Call sites that would build a
 // detail string first must guard with `if (tracer.enabled())` so the string
 // work is also skipped.
@@ -25,52 +25,51 @@ class Tracer {
  public:
   using Clock = std::function<SimTime()>;
 
-  /// Connects the tracer; a null `sink` detaches it.  `clock` supplies the
-  /// `ts` of events emitted without an explicit timestamp.
-  void attach(TraceSink* sink, Clock clock);
-  void detach() { sink_ = nullptr; }
+  /// Connects the tracer; a null `recorder` detaches it.  `clock` supplies
+  /// the `ts` of events emitted without an explicit timestamp.
+  void attach(TraceRecorder* recorder, Clock clock);
+  void detach() { rec_ = nullptr; }
 
-  bool enabled() const { return sink_ != nullptr; }
-  TraceSink* sink() { return sink_; }
+  bool enabled() const { return rec_ != nullptr; }
 
   void span_begin(Subsystem cat, const char* name, std::uint64_t id,
                   MachineId machine, std::string detail = {}) {
-    if (sink_) emit(EventKind::kSpanBegin, cat, name, id, machine, now(), 0,
+    if (rec_) emit(EventKind::kSpanBegin, cat, name, id, machine, now(), 0,
                     std::move(detail));
   }
   void span_begin_at(SimTime ts, Subsystem cat, const char* name,
                      std::uint64_t id, MachineId machine,
                      std::string detail = {}) {
-    if (sink_) emit(EventKind::kSpanBegin, cat, name, id, machine, ts, 0,
+    if (rec_) emit(EventKind::kSpanBegin, cat, name, id, machine, ts, 0,
                     std::move(detail));
   }
   void span_end(Subsystem cat, const char* name, std::uint64_t id,
                 MachineId machine, double value = 0,
                 std::string detail = {}) {
-    if (sink_) emit(EventKind::kSpanEnd, cat, name, id, machine, now(), value,
+    if (rec_) emit(EventKind::kSpanEnd, cat, name, id, machine, now(), value,
                     std::move(detail));
   }
   void span_end_at(SimTime ts, Subsystem cat, const char* name,
                    std::uint64_t id, MachineId machine, double value = 0,
                    std::string detail = {}) {
-    if (sink_) emit(EventKind::kSpanEnd, cat, name, id, machine, ts, value,
+    if (rec_) emit(EventKind::kSpanEnd, cat, name, id, machine, ts, value,
                     std::move(detail));
   }
   void instant(Subsystem cat, const char* name, std::uint64_t id,
                MachineId machine, double value = 0,
                std::string detail = {}) {
-    if (sink_) emit(EventKind::kInstant, cat, name, id, machine, now(), value,
+    if (rec_) emit(EventKind::kInstant, cat, name, id, machine, now(), value,
                     std::move(detail));
   }
   void instant_at(SimTime ts, Subsystem cat, const char* name,
                   std::uint64_t id, MachineId machine, double value = 0,
                   std::string detail = {}) {
-    if (sink_) emit(EventKind::kInstant, cat, name, id, machine, ts, value,
+    if (rec_) emit(EventKind::kInstant, cat, name, id, machine, ts, value,
                     std::move(detail));
   }
   void counter(Subsystem cat, const char* name, MachineId machine,
                double value) {
-    if (sink_) emit(EventKind::kCounter, cat, name, 0, machine, now(), value,
+    if (rec_) emit(EventKind::kCounter, cat, name, 0, machine, now(), value,
                     {});
   }
 
@@ -80,7 +79,7 @@ class Tracer {
             std::uint64_t id, MachineId machine, SimTime ts, double value,
             std::string detail);
 
-  TraceSink* sink_ = nullptr;
+  TraceRecorder* rec_ = nullptr;
   Clock clock_;
 };
 

@@ -31,30 +31,6 @@ struct ThrottleConfig {
   std::uint64_t low_water = 256;
 };
 
-/// Communication-protocol optimizations (SimEngine data-movement path).
-/// Each flag gates one payload- or message-saving mechanism; all default on.
-/// bench_comm_protocol measures the all-off ("legacy") protocol against the
-/// defaults.  Every mechanism preserves serial semantics and determinism.
-struct CommConfig {
-  /// Concurrent readers of the same remote object share one payload
-  /// transfer, and a task's multi-object fetch travels as one batched
-  /// request per owner machine.
-  bool combine_requests = true;
-  /// A machine whose dropped replica still matches the object's data
-  /// version revalidates it with a control round-trip instead of re-paying
-  /// the payload transfer.
-  bool reuse_replicas = true;
-  /// A writer invalidating n>1 replica holders sends one multicast control
-  /// message instead of n unicasts.
-  bool coalesce_invalidations = true;
-  /// Cache the byte-swapped representation per (object, data version) so
-  /// repeated cross-endian transfers of clean data convert once.
-  bool cache_conversions = true;
-  /// Issue transfers for deferred read declarations at dispatch, so the
-  /// payload is resident (or in flight) before the task's first with_cont.
-  bool prefetch_deferred = true;
-};
-
 /// Speculative task execution (Specx-style run-ahead with deterministic
 /// rollback).  When workers sit idle and a pending task's only unresolved
 /// predecessors hold *write* declarations that have not yet touched the
@@ -81,7 +57,12 @@ struct SchedPolicy {
   /// Prefer placing tasks where their objects already live.
   bool locality = true;
   ThrottleConfig throttle;
-  CommConfig comm;
+  /// The SimEngine data-movement protocol (docs/PERFORMANCE.md).  On, five
+  /// mechanisms save payloads and messages: batched per-owner requests,
+  /// replica revalidation, multicast invalidations, cached conversions and
+  /// deferred-read prefetch.  Off is the paper's per-object request, copy
+  /// and invalidate protocol, which bench_comm_protocol measures against.
+  bool optimized_comm = true;
   SpecConfig spec;
 };
 

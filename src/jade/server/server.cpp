@@ -301,7 +301,7 @@ void JadeServer::recompute_quotas_locked() {
   weights.reserve(active_.size());
   for (const auto& s : active_) weights.push_back(s->weight_);
   const auto windows =
-      fair_share_windows(config_.quota_pool, weights, config_.min_quota);
+      fair_share_windows(config_.quota_pool, weights, /*min_window=*/1);
   for (std::size_t i = 0; i < active_.size(); ++i) {
     active_[i]->ctl_.quota_hi.store(windows[i].first,
                                     std::memory_order_relaxed);

@@ -54,11 +54,9 @@ struct ServerConfig {
   AdmissionConfig admission;
   /// Live-task slots split across active sessions in proportion to their
   /// weights (0: per-tenant quotas off — only the engine's global throttle,
-  /// if configured, limits creation).
+  /// if configured, limits creation).  Every active session's window is at
+  /// least one live task regardless of weight (the starvation floor).
   std::uint64_t quota_pool = 0;
-  /// Starvation floor: every active session's window is at least this many
-  /// live tasks regardless of weight.
-  std::uint64_t min_quota = 1;
 };
 
 struct SessionOptions {

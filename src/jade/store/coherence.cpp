@@ -107,7 +107,7 @@ SimTime CoherenceProtocol::conversion_cost(ObjectId obj, MachineId src,
   const Endian se = endians_[static_cast<std::size_t>(src)];
   const Endian de = endians_[static_cast<std::size_t>(dst)];
   if (se == de || info.type.order_invariant()) return 0;
-  if (config_.comm.cache_conversions) {
+  if (config_.optimized_comm) {
     auto it = converted_cache_.find(obj);
     if (it != converted_cache_.end() &&
         it->second == directory_.data_version(obj)) {
@@ -120,7 +120,7 @@ SimTime CoherenceProtocol::conversion_cost(ObjectId obj, MachineId src,
                                                Endian::kLittle, Endian::kBig);
   convert_representation(data, info.type, Endian::kBig, Endian::kLittle);
   stats_.scalars_converted += n;
-  if (config_.comm.cache_conversions)
+  if (config_.optimized_comm)
     converted_cache_[obj] = directory_.data_version(obj);
   return static_cast<SimTime>(n) * config_.conversion_seconds_per_scalar;
 }
@@ -133,7 +133,7 @@ void CoherenceProtocol::send_invalidations(ObjectId obj, MachineId from,
   // is still active on any target.
   if (targets.empty()) return;
   stats_.invalidations += targets.size();
-  if (config_.comm.coalesce_invalidations && targets.size() > 1) {
+  if (config_.optimized_comm && targets.size() > 1) {
     const std::size_t bytes = invalidate_message_size(
         obj, from, targets, config_.control_message_bytes);
     transport_.multicast(from, targets, bytes, now);
@@ -206,7 +206,7 @@ SimTime CoherenceProtocol::transfer(ObjectId obj, MachineId to,
       if (avail > now) ++stats_.requests_combined;
       return std::max(now, avail);
     }
-    if (config_.comm.reuse_replicas && directory_.reusable(obj, to)) {
+    if (config_.optimized_comm && directory_.reusable(obj, to)) {
       // Revalidation: the dropped replica still matches the current data
       // version, so a control round-trip re-admits it — no payload.
       const SimTime req_arr = transport_.unicast(to, from, request_bytes, now);
@@ -254,7 +254,7 @@ SimTime CoherenceProtocol::transfer(ObjectId obj, MachineId to,
   // is deallocated (Figure 7(c)).
   SimTime avail = std::max(now, available_at(obj, to));
   if (from != to) {
-    if (config_.comm.reuse_replicas &&
+    if (config_.optimized_comm &&
         (directory_.present(obj, to) || directory_.reusable(obj, to))) {
       // Upgrade in place: the destination already holds (or can revalidate)
       // the current bytes, so only ownership travels — request and grant,
@@ -310,7 +310,7 @@ SimTime CoherenceProtocol::fetch(MachineId to, std::vector<FetchItem> items) {
   SimTime ready = transport_.now();
   if (items.empty()) return ready;
 
-  if (!config_.comm.combine_requests) {
+  if (!config_.optimized_comm) {
     for (const FetchItem& item : items) {
       const SimTime at = transfer(item.obj, to, item.exclusive);
       if (item.blocking) ready = std::max(ready, at);
@@ -364,7 +364,7 @@ SimTime CoherenceProtocol::fetch_batch(MachineId to, MachineId from,
     const ObjectInfo& info = objects_.info(item.obj);
     objs.push_back(item.obj);
     const bool r =
-        config_.comm.reuse_replicas &&
+        config_.optimized_comm &&
         (directory_.reusable(item.obj, to) ||
          (item.exclusive && directory_.present(item.obj, to)));
     reuse.push_back(r);

@@ -85,7 +85,8 @@ class CoherenceTransport {
 };
 
 struct CoherenceConfig {
-  CommConfig comm;
+  /// SchedPolicy::optimized_comm: false runs the per-object protocol.
+  bool optimized_comm = true;
   /// Transport framing minimum for control messages (wire floor).
   std::size_t control_message_bytes = 64;
   /// Cost of one scalar's cross-endian format conversion.
@@ -111,7 +112,7 @@ class CoherenceProtocol {
 
   /// Fetches a whole set of objects to machine `to`, combining items owned
   /// by the same remote machine into one batched request/reply when
-  /// comm.combine_requests is on.  Returns when the last *blocking* item is
+  /// the optimized protocol is on.  Returns when the last *blocking* item is
   /// available (prefetch hints ride along without gating task start).
   SimTime fetch(MachineId to, std::vector<FetchItem> items);
 
@@ -139,7 +140,7 @@ class CoherenceProtocol {
                       const std::vector<FetchItem>& batch);
 
   /// Invalidation fan-out for `obj`: one multicast control message when
-  /// comm.coalesce_invalidations is on and there is more than one target,
+  /// the optimized protocol is on and there is more than one target,
   /// per-target unicasts otherwise.
   void send_invalidations(ObjectId obj, MachineId from,
                           const std::vector<MachineId>& targets, SimTime now);

@@ -117,7 +117,7 @@ class ObjectDirectory {
                               MachineId m) const;
 
   /// Enables reusable-replica credit in bytes_scoreable (the engine sets
-  /// this from SchedPolicy::comm.reuse_replicas; default off keeps the score
+  /// this from SchedPolicy::optimized_comm; default off keeps the score
   /// identical to bytes_present).
   void set_reuse_scoring(bool on) { reuse_scoring_ = on; }
 

@@ -2,7 +2,7 @@
 //
 // The apps' inner loops (src/jade/apps/kernels_soa.cpp) are written so that
 // GCC and Clang auto-vectorize them from portable C++ — no ISA intrinsics.
-// This header supplies the three ingredients those loops need:
+// This header supplies the two annotations those loops need:
 //
 //   * JADE_VEC_LOOP      a loop annotation asserting no loop-carried
 //                        dependences (GCC `ivdep`, Clang `vectorize(enable)`),
@@ -11,14 +11,12 @@
 //                        compiler both expand to nothing and the loop simply
 //                        runs scalar — the scalar fallback is the same code.
 //   * JADE_RESTRICT      non-aliasing qualifier for kernel pointer params.
-//   * simd::span         a lane view into a structure-of-arrays payload: a
-//                        flat shared object holding K equal-length component
-//                        blocks ([x0..xn, y0..yn, z0..zn]) is sliced into its
-//                        lanes without copying.  The flat layout is what
-//                        serializes through TypeDescriptor/WireWriter — an
-//                        SoA payload is byte-for-byte an ordinary scalar
-//                        array, so every engine and the coherence protocol
-//                        move it unchanged.
+//
+// A structure-of-arrays payload needs no type of its own: a flat shared
+// object holding K equal-length component blocks ([x0..xn, y0..yn, z0..zn])
+// is byte-for-byte an ordinary scalar array to TypeDescriptor/WireWriter, so
+// every engine and the coherence protocol move it unchanged, and a kernel
+// takes one pointer per lane.
 //
 // Alignment contract: kernels must tolerate any alignment (shared-object
 // buffers only guarantee the allocator's 16 bytes; compilers peel or use
@@ -34,7 +32,6 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
-#include <span>
 
 #if defined(__clang__)
 #define JADE_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
@@ -52,54 +49,6 @@ namespace jade::simd {
 /// Over-alignment for host-side scratch: one cache line, enough for any
 /// vector unit this code will meet (AVX-512 needs 64).
 inline constexpr std::size_t kVectorAlign = 64;
-
-/// True when the loop annotations above are active (informational; the
-/// scalar fallback is the same source text).
-constexpr bool annotations_enabled() {
-#if defined(__clang__) || defined(__GNUC__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Lane view into a structure-of-arrays block: `flat` holds `lanes` equal
-/// runs of `count` elements each; lane(k) is the k-th run.  Pure view — the
-/// backing object stays a flat scalar array for TypeDescriptor purposes.
-template <typename T>
-class span {
- public:
-  constexpr span() = default;
-  constexpr span(T* data, std::size_t size) : data_(data), size_(size) {}
-  constexpr span(std::span<T> s) : data_(s.data()), size_(s.size()) {}
-
-  constexpr T* data() const { return data_; }
-  constexpr std::size_t size() const { return size_; }
-  constexpr T& operator[](std::size_t i) const { return data_[i]; }
-  constexpr T* begin() const { return data_; }
-  constexpr T* end() const { return data_ + size_; }
-
-  constexpr span subspan(std::size_t offset, std::size_t count) const {
-    return span(data_ + offset, count);
-  }
-
- private:
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// Slices lane `k` out of a flat SoA payload of `lanes` runs of `count`.
-template <typename T>
-constexpr span<T> soa_lane(std::span<T> flat, std::size_t k,
-                           std::size_t count) {
-  return span<T>(flat.data() + k * count, count);
-}
-
-template <typename T>
-constexpr span<const T> soa_lane(std::span<const T> flat, std::size_t k,
-                                 std::size_t count) {
-  return span<const T>(flat.data() + k * count, count);
-}
 
 /// Host-side scratch aligned to kVectorAlign (shared-object buffers make no
 /// such promise; kernels never require it, but aligned scratch lets the

@@ -193,7 +193,7 @@ TEST(Coherence, InvalidationFanOutCoalescesIntoOneMulticast) {
 
 TEST(Coherence, InvalidationFanOutUnicastsWhenCoalescingOff) {
   CoherenceConfig cfg;
-  cfg.comm.coalesce_invalidations = false;
+  cfg.optimized_comm = false;
   Harness h(4, {}, cfg);
   const ObjectId obj = h.add_object(32, /*home=*/0);
   for (MachineId m = 1; m <= 3; ++m)
@@ -237,7 +237,7 @@ TEST(Coherence, FetchSplitsBatchesByOwner) {
 
 TEST(Coherence, FetchWithoutCombiningIssuesPerObjectTransfers) {
   CoherenceConfig cfg;
-  cfg.comm.combine_requests = false;
+  cfg.optimized_comm = false;
   Harness h(2, {}, cfg);
   const ObjectId a = h.add_object(64, /*home=*/1);
   const ObjectId b = h.add_object(64, /*home=*/1);

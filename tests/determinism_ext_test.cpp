@@ -198,20 +198,16 @@ RuntimeConfig thread_cfg(int threads, bool throttle = false) {
   return cfg;
 }
 
-/// ThreadEngine on 1, 2, 4 and 8 workers with speculation and the hierarchy
-/// rule each on and off.  It grants a held right without its lock only
-/// while speculation is off and the rule is on; the rest take the locked
-/// path.
+/// ThreadEngine on 1, 2, 4 and 8 workers with speculation off and on.  It
+/// grants a held right without its lock only while speculation is off;
+/// with it on, every access takes the locked path.
 std::vector<RuntimeConfig> thread_access_paths() {
   std::vector<RuntimeConfig> out;
   for (int threads : {1, 2, 4, 8}) {
     for (bool spec : {false, true}) {
-      for (bool hierarchy : {true, false}) {
-        RuntimeConfig cfg = thread_cfg(threads);
-        cfg.sched.spec.enabled = spec;
-        cfg.enforce_hierarchy = hierarchy;
-        out.push_back(cfg);
-      }
+      RuntimeConfig cfg = thread_cfg(threads);
+      cfg.sched.spec.enabled = spec;
+      out.push_back(cfg);
     }
   }
   return out;
@@ -250,8 +246,7 @@ TEST_P(DeterminismExtTest, ThreadEngineMatchesSerialOnEveryAccessPath) {
   const auto serial = run_program(p, serial_cfg());
   for (const RuntimeConfig& cfg : thread_access_paths())
     EXPECT_EQ(run_program(p, cfg), serial)
-        << "threads=" << cfg.threads << " spec=" << cfg.sched.spec.enabled
-        << " hierarchy=" << cfg.enforce_hierarchy;
+        << "threads=" << cfg.threads << " spec=" << cfg.sched.spec.enabled;
 }
 
 TEST_P(DeterminismExtTest, SchedulingPoliciesIrrelevantToResult) {
@@ -370,8 +365,7 @@ TEST(AccessErrors, EveryAccessPathRaisesTheLockedPathsError) {
     for (const RuntimeConfig& cfg : thread_access_paths())
       EXPECT_EQ(access_error(misuse, cfg), expect)
           << "misuse " << static_cast<int>(misuse) << " threads="
-          << cfg.threads << " spec=" << cfg.sched.spec.enabled
-          << " hierarchy=" << cfg.enforce_hierarchy;
+          << cfg.threads << " spec=" << cfg.sched.spec.enabled;
   }
 }
 

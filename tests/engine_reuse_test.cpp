@@ -5,6 +5,8 @@
 // and their contents persist across runs.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
 
@@ -101,6 +103,31 @@ TEST_P(EngineReuseTest, AllocationBetweenRuns) {
                  [a, b](TaskContext& t) { t.write(b)[0] = t.read(a)[0] + 1; });
   });
   EXPECT_EQ(rt.get(b)[0], 8u);
+}
+
+TEST_P(EngineReuseTest, FailedRunPublishesItsCounters) {
+  // A run whose root throws ends like any other: the registry holds that
+  // run's counters, not the previous run's.
+  Runtime rt(config_for(GetParam()));
+  auto v = rt.alloc<std::uint64_t>(1, "v");
+  const auto create = [&](TaskContext& ctx, int tasks) {
+    for (int i = 0; i < tasks; ++i)
+      ctx.withonly([&](AccessDecl& d) { d.cm(v); },
+                   [v](TaskContext& t) { t.commute(v)[0] += 1; });
+  };
+  for (int round = 0; round < 2; ++round)
+    rt.run([&](TaskContext& ctx) { create(ctx, 3); });
+  EXPECT_THROW(rt.run([&](TaskContext& ctx) {
+                 create(ctx, 8);
+                 throw std::runtime_error("root fails");
+               }),
+               std::runtime_error);
+  const std::uint64_t created = rt.stats().tasks_created;
+  EXPECT_EQ(rt.metrics().counter("engine.tasks_created").value(), created);
+  // ThreadEngine drops the tasks still in the failed root's unlinked batch.
+  if (GetParam() != EngineKind::kThread) {
+    EXPECT_EQ(created, 8u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineReuseTest,

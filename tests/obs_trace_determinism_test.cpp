@@ -247,15 +247,14 @@ TEST(TraceDeterminism, ByteIdenticalWithCommProtocolOptimizationsAndFaults) {
 }
 
 TEST(TraceDeterminism, LegacyProtocolMatchesOptimizedResults) {
-  // Turning every CommConfig flag off reproduces the legacy per-object
+  // Turning SchedPolicy::optimized_comm off runs the legacy per-object
   // protocol; the factored matrix must be bit-identical either way (only
   // the simulated communication cost may differ), and each configuration
   // must stay internally deterministic.
   auto config = [](bool optimized) {
     RuntimeConfig cfg = sim_config(6);
     cfg.cluster = presets::hetero_workstations(6);
-    if (!optimized) cfg.sched.comm = CommConfig{false, false, false, false,
-                                                false};
+    cfg.sched.optimized_comm = optimized;
     return cfg;
   };
   auto run_once = [](RuntimeConfig cfg, apps::SparseMatrix* out) {

@@ -112,15 +112,6 @@ TEST_F(SeamTest, SelectTaskScoresWindowAgainstMachine) {
             "chosen=11 w0 t10:bytes=0 t11:bytes=800 t12:bytes=0");
 }
 
-TEST_F(SeamTest, ExplainClaimListsQueueDepths) {
-  const int depths[] = {3, 0, 5};
-  PlacementExplain e;
-  planner.explain_claim(depths, /*chosen=*/1, &e);
-  EXPECT_EQ(format_placement_explain(e),
-            "chosen=1 m0:bytes=0,free=3 m1:bytes=0,free=0 "
-            "m2:bytes=0,free=5");
-}
-
 // --- every engine narrates its placements through the seam -----------------
 
 void run_cholesky(Runtime& rt) {
@@ -151,13 +142,22 @@ TEST(PlannerSeamEngines, ThreadEngineEmitsStructuredPlacements) {
   ASSERT_FALSE(places.empty());
   for (const obs::TraceEvent& e : places) {
     EXPECT_EQ(e.kind, obs::EventKind::kInstant);
-    // Claim explains carry one candidate per live worker slot; the event
+    // Claim explains carry one candidate per thread slot (the root's thread
+    // and each worker), labelled with the slot's machine id; the event
     // value is the candidate count and the detail names the chosen worker.
-    EXPECT_GE(e.value, 1.0);
+    EXPECT_EQ(e.value, cfg.threads + 1.0);
     EXPECT_EQ(e.detail.rfind("chosen=", 0), 0u) << e.detail;
     EXPECT_NE(e.detail.find(":bytes="), std::string::npos) << e.detail;
     EXPECT_EQ(e.detail.find("chosen=" + std::to_string(e.machine)), 0u)
         << "claiming worker must be the chosen candidate: " << e.detail;
+    int candidates = 0;
+    for (std::size_t at = e.detail.find(" m"); at != std::string::npos;
+         at = e.detail.find(" m", at + 1)) {
+      ++candidates;
+      EXPECT_LT(std::stoi(e.detail.substr(at + 2)), rt.machine_count())
+          << "no such machine: " << e.detail;
+    }
+    EXPECT_EQ(candidates, cfg.threads + 1) << e.detail;
   }
 }
 

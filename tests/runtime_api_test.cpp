@@ -93,7 +93,7 @@ TEST(RuntimeApi, MachineIntrospectionInsideTasks) {
   EXPECT_EQ(where, 3);
 }
 
-TEST(RuntimeApi, TraceSinkReceivesSimEvents) {
+TEST(RuntimeApi, TraceLevelLogSinkReceivesSimEvents) {
   std::vector<std::string> lines;
   Log::set_level(LogLevel::kTrace);
   Log::set_sink([&](LogLevel, const std::string& msg) {

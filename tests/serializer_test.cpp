@@ -409,13 +409,6 @@ TEST_F(SerializerTest, GrantedOnlyForHeldRightsWithNoChildAhead) {
   EXPECT_FALSE(ser.granted(t, A.id(), kRead));
   EXPECT_FALSE(ser.acquire(t, A.id(), kRead));
   EXPECT_TRUE(ser.acquire(t, A.id(), kRead | kWrite));
-
-  RecordingListener l2;
-  Serializer loose(&l2, /*enforce_hierarchy=*/false);
-  TaskNode* u = loose.create_task(
-      loose.root(), spec([&](AccessDecl& d) { d.rd(A); }), nullptr);
-  loose.task_started(u);
-  EXPECT_FALSE(loose.granted(u, A.id(), kRead));
 }
 
 TEST_F(SerializerTest, OutstandingCountsLifecycle) {
@@ -488,17 +481,6 @@ TEST_F(SerializerTest, ImmediateSupersedesDeferredInOneDecl) {
   });
   ser.task_started(t);
   EXPECT_FALSE(ser.acquire(t, A.id(), kRead));
-}
-
-TEST_F(SerializerTest, UnenforcedHierarchyAllowsEscalation) {
-  RecordingListener l2;
-  Serializer loose(&l2, /*enforce_hierarchy=*/false);
-  TaskNode* p = loose.create_task(loose.root(),
-                                  spec([&](AccessDecl& d) { d.rd(A); }),
-                                  nullptr);
-  loose.task_started(p);
-  EXPECT_NO_THROW(
-      loose.create_task(p, spec([&](AccessDecl& d) { d.wr(A); }), nullptr));
 }
 
 TEST_F(SerializerTest, ConflictMatrix) {
