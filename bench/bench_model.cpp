@@ -205,7 +205,7 @@ std::vector<std::int64_t> serial_reference(const Workload& w) {
 /// and returns virtual seconds.
 double run_sim(const Scenario& sc, const SchedPolicy& policy,
                const std::vector<std::int64_t>& expect,
-               std::shared_ptr<const model::Planner> planner = nullptr) {
+               std::shared_ptr<const Planner> planner = nullptr) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kSim;
   cfg.cluster = sc.target;

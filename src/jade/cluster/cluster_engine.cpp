@@ -33,13 +33,10 @@ std::exception_ptr capture_error(ErrorCode code, const std::string& what) {
 
 }  // namespace
 
-ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
-                             std::shared_ptr<const model::Planner> planner)
+ClusterEngine::ClusterEngine(Options options, SchedPolicy sched)
     : Engine(sched.throttle),
       options_(options),
       sched_(sched),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       epoch_(std::chrono::steady_clock::now()) {
   if (options_.workers < 1)
     throw ConfigError("cluster workers must be at least 1");
@@ -726,6 +723,10 @@ void ClusterEngine::finish_task_locked(TaskNode* task) {
 
 void ClusterEngine::pump_locked() {
   if (aborting_) return;
+  // Tracing also captures the scored window, so the selection can be
+  // audited from the trace (the SimEngine "sched.place" counterpart).
+  PlacementExplain explain;
+  PlacementExplain* const why = tracer_.enabled() ? &explain : nullptr;
   bool dispatched = true;
   while (dispatched && !ready_.empty()) {
     dispatched = false;
@@ -760,27 +761,18 @@ void ClusterEngine::pump_locked() {
         index_of.push_back(i);
       }
       if (resident.empty()) continue;
-      std::size_t pick;
-      if (tracer_.enabled()) {
-        // Tracing: capture the scored window too, so the selection can be
-        // audited from the trace (the SimEngine "sched.place" counterpart).
-        PlacementExplain explain;
-        pick = planner_->select_task({resident, sched_.locality}, &explain);
-        if (pick != SIZE_MAX) {
-          std::vector<std::uint64_t> ids;
-          ids.reserve(index_of.size());
-          for (std::size_t idx : index_of) ids.push_back(ready_[idx]->id());
-          tracer_.instant_at(
-              wall_now(), obs::Subsystem::kSched, "sched.place",
-              ids[explain.chosen_index], slot.machine,
-              static_cast<double>(explain.task_candidates.size()),
-              model::format_task_select_explain(explain, slot.machine, ids));
-        }
-      } else {
-        pick = planner_->select_task({resident, sched_.locality});
-      }
-      if (pick == SIZE_MAX) pick = 0;
+      const std::size_t pick =
+          pick_task_for_machine(resident, sched_.locality, why);
       TaskNode* task = ready_[static_cast<std::ptrdiff_t>(index_of[pick])];
+      if (why != nullptr) {
+        std::vector<std::uint64_t> ids;
+        ids.reserve(index_of.size());
+        for (std::size_t idx : index_of) ids.push_back(ready_[idx]->id());
+        tracer_.instant_at(
+            wall_now(), obs::Subsystem::kSched, "sched.place", task->id(),
+            slot.machine, static_cast<double>(explain.task_candidates.size()),
+            format_task_select_explain(explain, slot.machine, ids));
+      }
       ready_.erase(ready_.begin() +
                    static_cast<std::ptrdiff_t>(index_of[pick]));
       dispatch_locked(task, static_cast<int>(s));

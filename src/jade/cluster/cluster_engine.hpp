@@ -40,16 +40,13 @@
 #include "jade/cluster/registry.hpp"
 #include "jade/engine/engine.hpp"
 #include "jade/ft/failure_detector.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/policies.hpp"
 
 namespace jade::cluster {
 
 class ClusterEngine : public Engine, public RegisteredSpawner {
  public:
-  explicit ClusterEngine(Options options, SchedPolicy sched = {},
-                         std::shared_ptr<const model::Planner> planner =
-                             nullptr);
+  explicit ClusterEngine(Options options, SchedPolicy sched = {});
   ~ClusterEngine() override;
 
   ClusterEngine(const ClusterEngine&) = delete;
@@ -227,9 +224,6 @@ class ClusterEngine : public Engine, public RegisteredSpawner {
   // --- configuration & construction-time services --------------------------
   Options options_;
   SchedPolicy sched_;
-  /// Task-for-machine selection routes through the policy seam
-  /// (docs/MODEL.md); defaults to the shared HeuristicPlanner.
-  std::shared_ptr<const model::Planner> planner_;
   std::unique_ptr<FailureDetector> detector_;
 
   // --- process state -------------------------------------------------------

@@ -11,14 +11,12 @@ namespace jade {
 
 namespace {
 std::unique_ptr<Engine> make_engine(const RuntimeConfig& config) {
-  // The policy seam (docs/MODEL.md): the planner first resolves the
-  // effective SchedPolicy for this (platform, base-knobs) pair — the default
-  // HeuristicPlanner is the identity — then SimEngine and ClusterEngine
-  // consult the same planner for every placement decision during the run
-  // (ThreadEngine places by work stealing).
-  std::shared_ptr<const model::Planner> planner =
-      config.planner != nullptr ? config.planner : model::default_planner();
-  const SchedPolicy sched = planner->plan_policy(config.cluster, config.sched);
+  // A planner resolves the run's effective SchedPolicy for this
+  // (platform, base-knobs) pair once, before the engine sees it
+  // (docs/MODEL.md).
+  const SchedPolicy sched =
+      config.planner ? config.planner->plan_policy(config.cluster, config.sched)
+                     : config.sched;
   switch (config.engine) {
     case EngineKind::kSerial:
       return std::make_unique<SerialEngine>();
@@ -27,11 +25,10 @@ std::unique_ptr<Engine> make_engine(const RuntimeConfig& config) {
                                             sched.spec);
     case EngineKind::kSim:
       config.cluster.validate();
-      return std::make_unique<SimEngine>(config.cluster, sched, config.fault,
-                                         planner);
+      return std::make_unique<SimEngine>(config.cluster, sched, config.fault);
     case EngineKind::kCluster:
       return std::make_unique<cluster::ClusterEngine>(config.cluster_proc,
-                                                      sched, planner);
+                                                      sched);
   }
   throw ConfigError("unknown EngineKind");
 }

@@ -33,7 +33,6 @@
 #include "jade/engine/engine.hpp"
 #include "jade/ft/fault_plan.hpp"
 #include "jade/mach/machine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/policies.hpp"
 
 namespace jade {
@@ -63,13 +62,10 @@ struct RuntimeConfig {
   /// throttle; ThreadEngine uses throttle only).
   SchedPolicy sched;
 
-  /// Policy/placement decision seam (docs/MODEL.md).  Before the engine is
-  /// built, `planner->plan_policy(cluster, sched)` resolves the effective
-  /// SchedPolicy (the default HeuristicPlanner passes `sched` through
-  /// untouched); during the run the engine consults the planner for every
-  /// placement decision.  Null selects the shared HeuristicPlanner —
-  /// byte-identical to the legacy hard-wired heuristics.
-  std::shared_ptr<const model::Planner> planner;
+  /// Policy planning (docs/MODEL.md).  Before the engine is built,
+  /// `planner->plan_policy(cluster, sched)` resolves the run's effective
+  /// SchedPolicy; null runs `sched` as set.
+  std::shared_ptr<const Planner> planner;
 
   /// Fault injection & recovery (SimEngine on message-passing platforms
   /// only; see docs/FAULT_TOLERANCE.md).  Disabled by default.

@@ -16,7 +16,7 @@ namespace jade {
 
 /// Counters every engine maintains (those that apply to it).
 struct RuntimeStats {
-  std::uint64_t tasks_created = 0;   ///< tasks the serializer linked
+  std::uint64_t tasks_created = 0;   ///< tasks created, linked or not
   std::uint64_t tasks_migrated = 0;  ///< executed off the creating machine
   std::uint64_t throttle_suspensions = 0;
   std::uint64_t throttle_giveups = 0;  ///< creator resumed to avoid deadlock

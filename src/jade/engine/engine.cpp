@@ -136,7 +136,7 @@ void Engine::begin_run() {
 }
 
 void Engine::end_run() {
-  stats_.tasks_created = serializer_.tasks_created();
+  stats_.tasks_created += serializer_.tasks_created();
   const RuntimeStats& s = stats_;
   obs::MetricsRegistry& m = metrics_;
   m.counter("engine.tasks_created").set(s.tasks_created);

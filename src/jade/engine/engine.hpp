@@ -178,10 +178,11 @@ class Engine : private SerializerListener {
   /// token table and zeroes stats_.  Objects and their bytes persist.
   void begin_run();
 
-  /// Ends a run, failed or not: takes tasks_created from the serializer and
-  /// publishes every RuntimeStats field into `metrics_` under the canonical
-  /// dotted names (docs/OBSERVABILITY.md), giving benches and tests one
-  /// uniform registry view.
+  /// Ends a run, failed or not: adds the serializer's count of linked
+  /// tasks to tasks_created (ThreadEngine counts the unlinked ones a failed
+  /// body dropped) and publishes every RuntimeStats field into `metrics_`
+  /// under the canonical dotted names (docs/OBSERVABILITY.md), giving
+  /// benches and tests one uniform registry view.
   void end_run();
 
   /// The spawn prologue: a speculating creator abandons its attempt

@@ -100,6 +100,10 @@ void SimEngine::try_dispatch() {
   // only load balancing applies.
   const bool locality = sched_.locality && !cluster_.shared_memory();
   std::vector<int> free;
+  // Tracing also captures why: every candidate machine with its locality
+  // score, so a placement can be audited from the trace.
+  PlacementExplain explain;
+  PlacementExplain* const why = tracer_.enabled() ? &explain : nullptr;
   bool progress = true;
   while (progress && !ready_.empty()) {
     progress = false;
@@ -123,23 +127,13 @@ void SimEngine::try_dispatch() {
         m = free[static_cast<std::size_t>(task->placement)] > 0
                 ? task->placement
                 : -1;
-      } else if (tracer_.enabled()) {
-        // Tracing: also capture why — every candidate machine with its
-        // locality score, so a placement can be audited from the trace.
-        PlacementExplain explain;
-        m = planner_->place_task(
-            directory_,
-            {st(task).objects, free, locality, st(task).creator_machine},
-            &explain);
-        if (m >= 0) {
+      } else {
+        m = pick_machine_for_task(directory_, st(task).objects, free, locality,
+                                  st(task).creator_machine, why);
+        if (why != nullptr && m >= 0)
           tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
                           m, static_cast<double>(explain.candidates.size()),
-                          model::format_placement_explain(explain));
-        }
-      } else {
-        m = planner_->place_task(
-            directory_,
-            {st(task).objects, free, locality, st(task).creator_machine});
+                          format_placement_explain(explain));
       }
       if (m < 0) continue;
       ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -647,8 +641,8 @@ void SimEngine::try_spec_dispatch() {
     TaskNode* task = spec_.launch([&](TaskNode* cand) -> MachineId {
       const SimTask& c = st(cand);
       if (ft_enabled() && spec_at_risk(c)) return -1;
-      return planner_->place_task(
-          directory_, {c.objects, free, locality, c.creator_machine});
+      return pick_machine_for_task(directory_, c.objects, free, locality,
+                                   c.creator_machine);
     });
     if (task == nullptr) return;
     const MachineId m = task->assigned_machine;

@@ -42,7 +42,6 @@
 #include "jade/engine/engine.hpp"
 #include "jade/ft/recovery_coordinator.hpp"
 #include "jade/mach/machine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/net/network.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/sched/speculation.hpp"
@@ -56,8 +55,7 @@ class FaultyNetwork;
 
 class SimEngine : public Engine, private SpeculationHooks {
  public:
-  SimEngine(ClusterConfig cluster, SchedPolicy sched, FaultConfig fault = {},
-            std::shared_ptr<const model::Planner> planner = nullptr);
+  SimEngine(ClusterConfig cluster, SchedPolicy sched, FaultConfig fault = {});
   ~SimEngine() override;
 
   void run(std::function<void(TaskContext&)> root_body) override;
@@ -79,13 +77,7 @@ class SimEngine : public Engine, private SpeculationHooks {
 
   /// Virtual time now (for apps/benches that trace progress).
   SimTime now() const { return sim_.now(); }
-  const NetworkModel& network() const { return *network_; }
   const ObjectDirectory& directory() const { return directory_; }
-
-  /// Ground truth of the failure model, or nullptr when faults are off.
-  const FaultInjector* fault_injector() const {
-    return ft_ ? &ft_->injector() : nullptr;
-  }
 
  protected:
   /// Registers the object in the directory at `home` (-1: round-robin).
@@ -234,9 +226,6 @@ class SimEngine : public Engine, private SpeculationHooks {
 
   ClusterConfig cluster_;
   SchedPolicy sched_;
-  /// Placement decisions route through the policy seam (docs/MODEL.md);
-  /// defaults to the shared HeuristicPlanner — legacy behavior to the byte.
-  std::shared_ptr<const model::Planner> planner_;
   std::unique_ptr<NetworkModel> network_;
   ObjectDirectory directory_;
   std::vector<Machine> machines_;

@@ -94,13 +94,10 @@ struct SimEngine::FtHooks final : RecoveryHooks {
 // --- construction -----------------------------------------------------------
 
 SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
-                     FaultConfig fault,
-                     std::shared_ptr<const model::Planner> planner)
+                     FaultConfig fault)
     : Engine(sched.throttle),
       cluster_(std::move(cluster)),
       sched_(sched),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       network_(cluster_.make_network()),
       directory_(cluster_.machine_count()),
       spec_(sched_.spec, serializer_, *this, stats_, tracer_) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "jade/model/planner.hpp"
+#include "jade/sched/policies.hpp"
 #include "jade/support/error.hpp"
 #include "jade/support/log.hpp"
 
@@ -431,7 +431,7 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
     tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
                     slot->machine,
                     static_cast<double>(explain.candidates.size()),
-                    model::format_placement_explain(explain));
+                    format_placement_explain(explain));
     tracer_.instant(obs::Subsystem::kEngine, "task.dispatched", task->id(),
                     slot->machine);
     tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),
@@ -635,6 +635,8 @@ void ThreadEngine::link_batch_locked(ThreadSlot* slot) {
 
 void ThreadEngine::drop_batch(ThreadSlot* slot) {
   std::lock_guard<std::mutex> guard(slot->batch_mu);
+  // The serializer never saw these tasks, but the body created them.
+  stats_.tasks_created += slot->batch.size();
   batched_.fetch_sub(static_cast<std::int64_t>(slot->batch.size()),
                      std::memory_order_seq_cst);
   slot->batch.clear();

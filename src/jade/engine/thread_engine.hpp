@@ -297,7 +297,8 @@ class ThreadEngine : public Engine, private SpeculationHooks {
   /// thread that links a stranded batch.
   void link_batch_locked(ThreadSlot* slot);
   /// Discards `slot`'s batch: its creator's body threw, and no serializer
-  /// state refers to those tasks.
+  /// state refers to those tasks.  Counts them as created.  Caller holds
+  /// mu_.
   void drop_batch(ThreadSlot* slot);
   /// Links every thread's batch; false when none was pending.  Called by a
   /// thread that found no work and finished its spin, before it parks.

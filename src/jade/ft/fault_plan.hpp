@@ -76,12 +76,10 @@ struct FaultConfig {
 
   /// Snapshot/stable-storage policy: when true, every committed object
   /// update is (conceptually) persisted to stable storage, so an object
-  /// whose only copy died is restored at `restore_latency` plus its size
-  /// over `restore_bytes_per_second`.  When false such objects are declared
-  /// unrecoverable and any later access throws UnrecoverableError.
+  /// whose only copy died is restored from it (10 ms plus its size at
+  /// 10 MB/s; ft/recovery_coordinator.cpp).  When false such objects are
+  /// declared unrecoverable and any later access throws UnrecoverableError.
   bool stable_storage = true;
-  SimTime restore_latency = 10e-3;
-  double restore_bytes_per_second = 10e6;
 };
 
 /// A validated, fully materialized fault schedule for one cluster size.

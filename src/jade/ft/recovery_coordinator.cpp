@@ -12,6 +12,10 @@ namespace jade {
 namespace {
 /// Wire size of one heartbeat message.
 constexpr std::size_t kHeartbeatBytes = 32;
+/// Restoring a sole-copy object from stable storage takes this latency plus
+/// its size at this bandwidth.
+constexpr SimTime kRestoreLatency = 10e-3;
+constexpr double kRestoreBytesPerSecond = 10e6;
 }  // namespace
 
 RecoveryCoordinator::RecoveryCoordinator(
@@ -174,9 +178,9 @@ void RecoveryCoordinator::recover_machine(MachineId m) {
         directory_.drop_copy(a.obj, m);
         directory_.restore_to(a.obj, a.new_home);
         const SimTime done =
-            transport_.now() + fault_.restore_latency +
+            transport_.now() + kRestoreLatency +
             static_cast<SimTime>(directory_.object_bytes(a.obj)) /
-                fault_.restore_bytes_per_second;
+                kRestoreBytesPerSecond;
         coherence_.set_available_at(a.obj, a.new_home, done);
         ++stats_.objects_restored;
         break;

@@ -2,6 +2,12 @@
 
 namespace jade::model {
 
+namespace {
+/// The fractional predicted improvement a candidate must clear to replace
+/// the base policy.
+constexpr double kMargin = 0.10;
+}  // namespace
+
 std::vector<SchedPolicy> ModelPlanner::candidate_policies(
     const SchedPolicy& base) {
   std::vector<SchedPolicy> out;
@@ -42,7 +48,7 @@ SchedPolicy ModelPlanner::plan_policy(const ClusterConfig& cluster,
   }
   // Within the margin the prediction error could swamp the gain: keep the
   // hand-set policy (the tuner then *matches* the default by construction).
-  if (best_pred >= (1.0 - margin_) * base_pred) return base;
+  if (best_pred >= (1.0 - kMargin) * base_pred) return base;
   return best;
 }
 

@@ -8,33 +8,25 @@
 // base policy passes through untouched, so the tuner never loses to the
 // defaults by trusting a borderline prediction.
 //
-// Per-decision placement (place_task / select_task) inherits the heuristic
-// implementations: the model operates at whole-run granularity, where its
-// features live; the per-task locality heuristics are already near-optimal
-// and byte-stable.
+// Per-task placement is not the planner's: the engines call the locality
+// heuristics in sched/policies directly.  The model operates at whole-run
+// granularity, where its features live.
 #pragma once
 
 #include <utility>
 #include <vector>
 
 #include "jade/model/cost_model.hpp"
-#include "jade/model/planner.hpp"
+#include "jade/sched/policies.hpp"
 
 namespace jade::model {
 
-class ModelPlanner : public HeuristicPlanner {
+class ModelPlanner : public Planner {
  public:
   /// `model` must already be fitted and `features` valid — plan_policy
-  /// degrades to the identity (base passes through) otherwise.  `margin` is
-  /// the fractional predicted improvement a candidate must clear to replace
-  /// the base policy.
-  ModelPlanner(CostModel model, WorkloadFeatures features,
-               double margin = 0.10)
-      : model_(std::move(model)),
-        features_(features),
-        margin_(margin) {}
-
-  const char* name() const override { return "model"; }
+  /// degrades to the identity (base passes through) otherwise.
+  ModelPlanner(CostModel model, WorkloadFeatures features)
+      : model_(std::move(model)), features_(features) {}
 
   SchedPolicy plan_policy(const ClusterConfig& cluster,
                           const SchedPolicy& base) const override;
@@ -50,13 +42,9 @@ class ModelPlanner : public HeuristicPlanner {
     return model_.predict(features_, cluster, policy);
   }
 
-  const CostModel& model() const { return model_; }
-  const WorkloadFeatures& features() const { return features_; }
-
  private:
   CostModel model_;
   WorkloadFeatures features_;
-  double margin_;
 };
 
 }  // namespace jade::model

@@ -1,5 +1,6 @@
 #include "jade/obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 

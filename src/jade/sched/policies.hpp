@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "jade/core/object.hpp"
@@ -20,6 +21,8 @@
 #include "jade/support/time.hpp"
 
 namespace jade {
+
+struct ClusterConfig;
 
 /// Suppression of excess task creation (Section 3.3, Figure 7(e)): when the
 /// number of created-but-incomplete tasks exceeds high_water, the creating
@@ -64,6 +67,20 @@ struct SchedPolicy {
   /// and invalidate protocol, which bench_comm_protocol measures against.
   bool optimized_comm = true;
   SpecConfig spec;
+};
+
+/// Plans the whole policy for a run before its engine is built
+/// (RuntimeConfig::planner, docs/MODEL.md).  model::ModelPlanner searches
+/// the policy space with a fitted cost model.  Placement during the run is
+/// not a planner decision: the engines call the heuristics below.
+class Planner {
+ public:
+  virtual ~Planner() = default;
+
+  /// The policy for a run on `cluster`, starting from the caller's `base`
+  /// knobs.
+  virtual SchedPolicy plan_policy(const ClusterConfig& cluster,
+                                  const SchedPolicy& base) const = 0;
 };
 
 /// Why a placement decision went the way it did: every machine that had a
@@ -117,6 +134,20 @@ MachineId pick_machine_for_task(const ObjectDirectory& dir,
 std::size_t pick_task_for_machine(std::span<const std::size_t> resident_bytes,
                                   bool locality,
                                   PlacementExplain* explain = nullptr);
+
+/// Renders a machine-for-task explain in the exact layout SimEngine has
+/// always emitted in its "sched.place" events:
+///   "chosen=N m0:bytes=B,free=F m1:bytes=B,free=F ..."
+/// (trace byte-compatibility depends on this format; see
+/// obs_trace_determinism_test).
+std::string format_placement_explain(const PlacementExplain& explain);
+
+/// Renders a task-for-machine explain ("sched.place" on ClusterEngine):
+///   "chosen=T wM t<id>:bytes=B t<id>:bytes=B ..."
+/// `task_ids[i]` is the task id of window candidate i.
+std::string format_task_select_explain(
+    const PlacementExplain& explain, MachineId machine,
+    std::span<const std::uint64_t> task_ids);
 
 /// Home re-election after a crash: the lowest-indexed surviving machine that
 /// already holds a copy of `obj` (its replica becomes the authoritative

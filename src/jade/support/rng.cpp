@@ -1,7 +1,5 @@
 #include "jade/support/rng.hpp"
 
-#include <cmath>
-
 namespace jade {
 
 namespace {
@@ -44,11 +42,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
@@ -58,12 +51,5 @@ double Rng::next_double(double lo, double hi) {
 }
 
 bool Rng::next_bool(double p) { return next_double() < p; }
-
-double Rng::next_normal() {
-  double u1 = next_double();
-  double u2 = next_double();
-  if (u1 < 1e-300) u1 = 1e-300;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-}
 
 }  // namespace jade

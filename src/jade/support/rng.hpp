@@ -37,9 +37,6 @@ class Rng {
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double next_double();
 
@@ -48,10 +45,6 @@ class Rng {
 
   /// Bernoulli trial with probability p.
   bool next_bool(double p = 0.5);
-
-  /// Standard normal via Box-Muller (no cached second value, for simplicity
-  /// and determinism under reordering).
-  double next_normal();
 
  private:
   std::uint64_t s_[4];

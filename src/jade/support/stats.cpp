@@ -1,55 +1,12 @@
 #include "jade/support/stats.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
 #include "jade/support/error.hpp"
 
 namespace jade {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double SampleSet::quantile(double q) const {
-  JADE_ASSERT(!xs_.empty());
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(xs_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
-}
-
-double SampleSet::mean() const {
-  return xs_.empty() ? 0.0 : sum() / static_cast<double>(xs_.size());
-}
-
-double SampleSet::sum() const {
-  double s = 0.0;
-  for (double x : xs_) s += x;
-  return s;
-}
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}

@@ -1,8 +1,7 @@
-// Small statistics helpers used by the benchmark harnesses and the runtime's
-// self-instrumentation (task counts, message volumes, idle time).
+// Report helpers used by the benchmark harnesses and the runtime's
+// self-instrumentation: aligned text tables and ordered counter lists.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -10,43 +9,6 @@
 #include <vector>
 
 namespace jade {
-
-/// Welford one-pass accumulator for mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Collects samples and answers quantile queries; used for task-length and
-/// message-latency distributions in the trace benches.
-class SampleSet {
- public:
-  void add(double x) { xs_.push_back(x); }
-  std::size_t size() const { return xs_.size(); }
-  double quantile(double q) const;  // q in [0,1]
-  double mean() const;
-  double sum() const;
-
- private:
-  mutable std::vector<double> xs_;
-  mutable bool sorted_ = false;
-};
 
 /// Plain-text table printer: the figure benches print the same rows/series a
 /// paper figure plots, aligned for reading in a terminal.

@@ -124,10 +124,7 @@ TEST_P(EngineReuseTest, FailedRunPublishesItsCounters) {
                std::runtime_error);
   const std::uint64_t created = rt.stats().tasks_created;
   EXPECT_EQ(rt.metrics().counter("engine.tasks_created").value(), created);
-  // ThreadEngine drops the tasks still in the failed root's unlinked batch.
-  if (GetParam() != EngineKind::kThread) {
-    EXPECT_EQ(created, 8u);
-  }
+  EXPECT_EQ(created, 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineReuseTest,

@@ -13,7 +13,6 @@
 #include "jade/apps/cholesky.hpp"
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/obs/chrome_trace.hpp"
 #include "jade/obs/timeline_view.hpp"
 
@@ -86,41 +85,6 @@ TEST(TraceDeterminism, ByteIdenticalUnderSeededFaultInjection) {
   EXPECT_EQ(first, second);
   // The fault layer actually fired: its events are in the export.
   EXPECT_NE(first.find("\"cat\":\"ft\""), std::string::npos);
-}
-
-// --- The Planner seam (RuntimeConfig::planner) ------------------------------
-
-TEST(TraceDeterminism, PlannerSeamDefaultMatchesExplicitHeuristicByteForByte) {
-  // Routing every placement decision through the Planner interface must not
-  // perturb a single byte of the export: a null planner (the shared default)
-  // and an explicitly constructed HeuristicPlanner replay the same
-  // fault-armed cholesky identically — placement choices, sched.place
-  // explain strings, recovery, everything.
-  auto config = [](std::shared_ptr<const model::Planner> planner) {
-    RuntimeConfig cfg = sim_config(4);
-    cfg.fault.enabled = true;
-    cfg.fault.seed = 0xdecaf;
-    cfg.fault.crashes = {{1, 1e-3}};
-    cfg.fault.drop_probability = 0.05;
-    cfg.planner = std::move(planner);
-    return cfg;
-  };
-  std::string with_default, with_explicit;
-  {
-    Runtime rt(config(nullptr));
-    run_cholesky(rt);
-    with_default = export_trace(rt);
-  }
-  {
-    Runtime rt(config(std::make_shared<model::HeuristicPlanner>()));
-    run_cholesky(rt);
-    with_explicit = export_trace(rt);
-  }
-  EXPECT_FALSE(with_default.empty());
-  EXPECT_EQ(with_default, with_explicit);
-  // The seam's explain strings are in the stream (locality scoring visible).
-  EXPECT_NE(with_default.find("sched.place"), std::string::npos);
-  EXPECT_NE(with_default.find("chosen="), std::string::npos);
 }
 
 // --- Speculation (SchedPolicy::spec) must preserve the contract ------------

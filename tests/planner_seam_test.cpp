@@ -1,8 +1,8 @@
-// The Planner seam: golden-format tests of the explain renderers, golden
-// locality-score tests over PlacementExplain, and the contract that every
-// engine's placement decisions flow through the seam — ThreadEngine and
+// Placement in sched/policies: golden-format tests of the explain
+// renderers, golden locality-score tests over PlacementExplain, and the
+// contract that every engine narrates its placements — ThreadEngine and
 // ClusterEngine emit the same structured "sched.place" instants SimEngine
-// always has (the issue's PlacementExplain fix).
+// always has.  An unfitted ModelPlanner changes no byte of an export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,15 +16,11 @@
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
 #include "jade/model/model_planner.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/obs/chrome_trace.hpp"
+#include "jade/sched/policies.hpp"
 
 namespace jade {
 namespace {
-
-using model::format_placement_explain;
-using model::format_task_select_explain;
-using model::HeuristicPlanner;
 
 ObjectInfo make_info(ObjectId id, std::size_t doubles) {
   return ObjectInfo{id, TypeDescriptor::array_of<double>(doubles),
@@ -40,7 +36,6 @@ class SeamTest : public ::testing::Test {
     dir.add_object(make_info(3, 1), 2);
   }
   ObjectDirectory dir;
-  HeuristicPlanner planner;
 };
 
 // --- golden explain-format strings -----------------------------------------
@@ -75,15 +70,14 @@ TEST(ExplainFormat, TaskSelectEmptyWindowGolden) {
   EXPECT_EQ(format_task_select_explain(e, 0, {}), "chosen=-1 w0");
 }
 
-// --- golden locality scores through the seam -------------------------------
+// --- golden locality scores of the placement heuristics --------------------
 
 TEST_F(SeamTest, PlaceTaskScoresResidentBytesPerCandidate) {
   const ObjectId objs[] = {1, 2};  // 800 B on m0, 80 B on m1
   const int free[] = {1, 1, 1};
   PlacementExplain e;
-  const MachineId chosen =
-      planner.place_task(dir, {objs, free, /*locality=*/true, /*creator=*/2},
-                         &e);
+  const MachineId chosen = pick_machine_for_task(
+      dir, objs, free, /*locality=*/true, /*creator=*/2, &e);
   EXPECT_EQ(chosen, 0);
   EXPECT_EQ(format_placement_explain(e),
             "chosen=0 m0:bytes=800,free=1 m1:bytes=80,free=1 "
@@ -95,7 +89,7 @@ TEST_F(SeamTest, PlaceTaskExcludesBusyMachinesFromCandidates) {
   const int free[] = {0, 2, 1};  // m0 holds the bytes but has no context
   PlacementExplain e;
   const MachineId chosen =
-      planner.place_task(dir, {objs, free, true, /*creator=*/1}, &e);
+      pick_machine_for_task(dir, objs, free, true, /*creator=*/1, &e);
   EXPECT_EQ(chosen, 1);  // tie on bytes falls to the creator
   EXPECT_EQ(format_placement_explain(e),
             "chosen=1 m1:bytes=0,free=2 m2:bytes=0,free=1");
@@ -105,14 +99,14 @@ TEST_F(SeamTest, SelectTaskScoresWindowAgainstMachine) {
   // Tasks declaring objects {3}, {1}, {2}; object 1's 800 B live on m0.
   const std::size_t on_m0[] = {0, 800, 0};
   PlacementExplain e;
-  const std::size_t pick = planner.select_task({on_m0, /*locality=*/true}, &e);
+  const std::size_t pick = pick_task_for_machine(on_m0, /*locality=*/true, &e);
   EXPECT_EQ(pick, 1u);
   const std::uint64_t ids[] = {10, 11, 12};
   EXPECT_EQ(format_task_select_explain(e, 0, ids),
             "chosen=11 w0 t10:bytes=0 t11:bytes=800 t12:bytes=0");
 }
 
-// --- every engine narrates its placements through the seam -----------------
+// --- every engine narrates its placements ----------------------------------
 
 void run_cholesky(Runtime& rt) {
   const auto a = apps::paper_example_matrix();
@@ -210,10 +204,9 @@ TEST(PlannerSeamEngines, ClusterEngineEmitsStructuredPlacements) {
 }
 
 TEST(PlannerSeamEngines, UnfittedModelPlannerMatchesDefaultByteForByte) {
-  // ModelPlanner inherits the heuristic per-decision placements and its
-  // unfitted plan_policy is the identity, so swapping it in must not change
-  // a byte of a deterministic SimEngine export.
-  auto config = [](std::shared_ptr<const model::Planner> planner) {
+  // An unfitted ModelPlanner's plan_policy is the identity, so swapping it
+  // in must not change a byte of a deterministic SimEngine export.
+  auto config = [](std::shared_ptr<const Planner> planner) {
     RuntimeConfig cfg;
     cfg.engine = EngineKind::kSim;
     cfg.cluster = presets::ipsc860(4);

@@ -144,18 +144,6 @@ TEST(Rng, NextBelowCoversRange) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(Rng, NextRangeInclusive) {
-  Rng rng(3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 500; ++i) {
-    const std::int64_t v = rng.next_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
 TEST(Rng, DoubleInUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
@@ -163,41 +151,6 @@ TEST(Rng, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(Rng, NormalRoughMoments) {
-  Rng rng(13);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(rng.next_normal());
-  EXPECT_NEAR(s.mean(), 0.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.05);
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SampleSet, Quantiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
-  EXPECT_NEAR(s.quantile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-9);
 }
 
 TEST(TextTable, AlignedOutput) {
